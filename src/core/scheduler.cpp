@@ -385,13 +385,18 @@ void OutputPortScheduler::arbitrate_into(std::size_t n_requests,
         }
         break;
       case Arbitration::kRoundRobin: {
-        auto& cursor = rr_cursor_[uw(w)];
+        // The stored cursor is reduced once (it can be >= n when the group
+        // shrank since the last slot), then advanced with a conditional
+        // wrap — the same positions as (cursor + t) % n, without a division
+        // per winner.
         const std::size_t n = group.size();
+        const std::size_t stored = rr_cursor_[uw(w)];
+        std::size_t pos = stored < n ? stored : stored % n;
         for (std::size_t t = 0; t < n_won; ++t) {
-          decisions[group[(cursor + t) % n]] =
-              PortDecision::grant(won_flat_[won_lo + t]);
+          decisions[group[pos]] = PortDecision::grant(won_flat_[won_lo + t]);
+          if (++pos == n) pos = 0;
         }
-        cursor = static_cast<std::uint32_t>((cursor + n_won) % n);
+        rr_cursor_[uw(w)] = static_cast<std::uint32_t>(pos);
         break;
       }
       case Arbitration::kRandom: {

@@ -105,37 +105,46 @@ void FaultInjector::tick() {
   // variate per slot whatever its state, so the stream position depends
   // only on (geometry, slot) — a fault schedule replays from its seed and
   // stays aligned under any mixture of scripted and stochastic events.
-  const auto transition = [&](std::uint8_t& down, const MtbfMttr& rates,
-                              FaultKind kind, std::int32_t fiber,
-                              std::int32_t channel) {
+  // The per-class rates are read into locals once: the lambda's uint8_t&
+  // stores may alias config_, so the compiler cannot hoist 1/mtbf and
+  // 1/mttr out of the loops itself. Same doubles, same fault schedule.
+  const auto transition = [&](std::uint8_t& down, double p_fail,
+                              double p_repair, FaultKind kind,
+                              std::int32_t fiber, std::int32_t channel) {
     const double u = rng_.uniform01();
     if (down == 0) {
-      if (u < 1.0 / rates.mtbf && set_state(down, true)) {
+      if (u < p_fail && set_state(down, true)) {
         record_fault(kind, fiber, channel, false);
       }
     } else {
-      if (u < 1.0 / rates.mttr && set_state(down, false)) {
+      if (u < p_repair && set_state(down, false)) {
         record_fault(kind, fiber, channel, true);
       }
     }
   };
   if (config_.converters.enabled()) {
+    const double p_fail = 1.0 / config_.converters.mtbf;
+    const double p_repair = 1.0 / config_.converters.mttr;
     for (std::size_t at = 0; at < converter_down_.size(); ++at) {
-      transition(converter_down_[at], config_.converters, FaultKind::kConverter,
+      transition(converter_down_[at], p_fail, p_repair, FaultKind::kConverter,
                  static_cast<std::int32_t>(at) / k_,
                  static_cast<std::int32_t>(at) % k_);
     }
   }
   if (config_.channels.enabled()) {
+    const double p_fail = 1.0 / config_.channels.mtbf;
+    const double p_repair = 1.0 / config_.channels.mttr;
     for (std::size_t at = 0; at < channel_down_.size(); ++at) {
-      transition(channel_down_[at], config_.channels, FaultKind::kChannel,
+      transition(channel_down_[at], p_fail, p_repair, FaultKind::kChannel,
                  static_cast<std::int32_t>(at) / k_,
                  static_cast<std::int32_t>(at) % k_);
     }
   }
   if (config_.fibers.enabled()) {
+    const double p_fail = 1.0 / config_.fibers.mtbf;
+    const double p_repair = 1.0 / config_.fibers.mttr;
     for (std::size_t fiber = 0; fiber < fiber_down_.size(); ++fiber) {
-      transition(fiber_down_[fiber], config_.fibers, FaultKind::kFiber,
+      transition(fiber_down_[fiber], p_fail, p_repair, FaultKind::kFiber,
                  static_cast<std::int32_t>(fiber), 0);
     }
   }

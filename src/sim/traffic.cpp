@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace wdm::sim {
 
-TrafficGenerator::TrafficGenerator(std::int32_t n_fibers, std::int32_t k,
-                                   TrafficConfig config, std::uint64_t seed)
-    : n_fibers_(n_fibers),
-      k_(k),
-      config_(config),
-      rng_(seed),
-      zipf_(static_cast<std::size_t>(n_fibers),
-            config.destinations == DestinationPattern::kHotspot
-                ? config.hotspot_alpha
-                : 0.0) {
+namespace {
+
+TrafficConfig checked(std::int32_t n_fibers, std::int32_t k,
+                      TrafficConfig config) {
   WDM_CHECK_MSG(n_fibers > 0 && k > 0, "traffic dimensions must be positive");
   WDM_CHECK_MSG(config.load >= 0.0 && config.load <= 1.0,
                 "offered load must be in [0, 1]");
@@ -32,16 +27,41 @@ TrafficGenerator::TrafficGenerator(std::int32_t n_fibers, std::int32_t k,
   }
   WDM_CHECK_MSG(mix_total > 0.99 && mix_total < 1.01,
                 "class mix must sum to 1");
-
-  burst_dest_.assign(
-      static_cast<std::size_t>(n_fibers) * static_cast<std::size_t>(k), -1);
-  // Two-state Markov source with stationary ON probability = load and mean
-  // ON duration b: p_off = 1/b, p_on = load * p_off / (1 - load).
-  p_off_ = 1.0 / config.mean_burst_length;
-  p_on_ = config.load >= 1.0 ? 1.0
-                             : std::min(1.0, config.load * p_off_ /
-                                                 (1.0 - config.load));
+  return config;
 }
+
+// Two-state Markov source with stationary ON probability = load and mean ON
+// duration b: p_off = 1/b, p_on = load * p_off / (1 - load).
+double burst_off_probability(const TrafficConfig& config) {
+  return 1.0 / config.mean_burst_length;
+}
+
+double burst_on_probability(const TrafficConfig& config) {
+  return config.load >= 1.0
+             ? 1.0
+             : std::min(1.0, config.load * burst_off_probability(config) /
+                                 (1.0 - config.load));
+}
+
+}  // namespace
+
+TrafficGenerator::TrafficGenerator(std::int32_t n_fibers, std::int32_t k,
+                                   TrafficConfig config, std::uint64_t seed)
+    : n_fibers_(n_fibers),
+      k_(k),
+      config_(checked(n_fibers, k, std::move(config))),
+      rng_(seed),
+      zipf_(static_cast<std::size_t>(n_fibers),
+            config_.destinations == DestinationPattern::kHotspot
+                ? config_.hotspot_alpha
+                : 0.0),
+      arrival_(config_.load),
+      burst_on_(burst_on_probability(config_)),
+      burst_off_(burst_off_probability(config_)),
+      holding_(1.0 / config_.mean_holding),
+      burst_dest_(static_cast<std::size_t>(n_fibers) *
+                      static_cast<std::size_t>(k),
+                  -1) {}
 
 std::int32_t TrafficGenerator::sample_destination() {
   return static_cast<std::int32_t>(zipf_.sample(rng_));
@@ -56,8 +76,7 @@ std::int32_t TrafficGenerator::sample_duration() {
           1, static_cast<std::int32_t>(std::llround(config_.mean_holding)));
     case HoldingTime::kGeometric:
       return static_cast<std::int32_t>(
-          std::min<std::uint64_t>(rng_.geometric(1.0 / config_.mean_holding),
-                                  1u << 20));
+          std::min<std::uint64_t>(holding_.sample(rng_), 1u << 20));
   }
   return 1;
 }
@@ -87,36 +106,49 @@ void TrafficGenerator::next_slot_into(
                     input_channel_busy.size() == burst_dest_.size(),
                 "busy mask must cover every input wavelength channel");
   out.clear();
+  const std::uint8_t* busy =
+      input_channel_busy.empty() ? nullptr : input_channel_busy.data();
+  if (config_.arrivals == ArrivalProcess::kBernoulli) {
+    bernoulli_slot(busy, out);
+  } else {
+    on_off_slot(busy, out);
+  }
+}
+
+// Channels are visited fiber-major (index fiber*k + wavelength) in both
+// loops; the order fixes which draw feeds which channel.
+void TrafficGenerator::bernoulli_slot(const std::uint8_t* busy,
+                                      std::vector<core::SlotRequest>& out) {
+  std::size_t ch = 0;
   for (std::int32_t fiber = 0; fiber < n_fibers_; ++fiber) {
-    for (core::Wavelength w = 0; w < k_; ++w) {
-      const std::size_t ch = static_cast<std::size_t>(fiber) *
-                                 static_cast<std::size_t>(k_) +
-                             static_cast<std::size_t>(w);
-      const bool busy =
-          !input_channel_busy.empty() && input_channel_busy[ch] != 0;
+    for (core::Wavelength w = 0; w < k_; ++w, ++ch) {
+      if (busy != nullptr && busy[ch] != 0) continue;
+      if (!arrival_.sample(rng_)) continue;
+      out.push_back(core::SlotRequest{fiber, w, sample_destination(),
+                                      next_id_++, sample_duration(),
+                                      sample_priority()});
+    }
+  }
+}
 
-      if (config_.arrivals == ArrivalProcess::kBernoulli) {
-        if (busy) continue;
-        if (!rng_.bernoulli(config_.load)) continue;
-        out.push_back(core::SlotRequest{fiber, w, sample_destination(),
-                                        next_id_++, sample_duration(),
-                                        sample_priority()});
-        continue;
-      }
-
-      // On-off source: advance the Markov chain even while the channel is
-      // busy transmitting (the burst keeps "arriving" but is suppressed).
+void TrafficGenerator::on_off_slot(const std::uint8_t* busy,
+                                   std::vector<core::SlotRequest>& out) {
+  std::size_t ch = 0;
+  for (std::int32_t fiber = 0; fiber < n_fibers_; ++fiber) {
+    for (core::Wavelength w = 0; w < k_; ++w, ++ch) {
+      // The Markov chain advances even while the channel is busy
+      // transmitting (the burst keeps "arriving" but is suppressed).
       auto& dest = burst_dest_[ch];
       if (dest < 0) {
-        if (rng_.bernoulli(p_on_)) dest = sample_destination();
+        if (burst_on_.sample(rng_)) dest = sample_destination();
       }
       if (dest >= 0) {
-        if (!busy) {
+        if (busy == nullptr || busy[ch] == 0) {
           out.push_back(core::SlotRequest{fiber, w, dest, next_id_++,
                                           sample_duration(),
                                           sample_priority()});
         }
-        if (rng_.bernoulli(p_off_)) dest = -1;
+        if (burst_off_.sample(rng_)) dest = -1;
       }
     }
   }

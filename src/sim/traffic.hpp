@@ -71,6 +71,13 @@ class TrafficGenerator {
   void restore_state(util::SnapshotReader& r);
 
  private:
+  // One slot of each arrival process; `busy` is null when nothing is
+  // suppressed. next_slot_into picks the process once per slot.
+  void bernoulli_slot(const std::uint8_t* busy,
+                      std::vector<core::SlotRequest>& out);
+  void on_off_slot(const std::uint8_t* busy,
+                   std::vector<core::SlotRequest>& out);
+
   std::int32_t sample_destination();
   std::int32_t sample_duration();
   std::int32_t sample_priority();
@@ -80,10 +87,14 @@ class TrafficGenerator {
   TrafficConfig config_;
   util::Rng rng_;
   util::ZipfSampler zipf_;
+  // Fixed-probability samplers built once from config_; each decides from
+  // the same draws as the plain formula would (util/rng.hpp).
+  util::BernoulliSampler arrival_;    // Bernoulli: new packet, p = load
+  util::BernoulliSampler burst_on_;   // on-off: off -> on
+  util::BernoulliSampler burst_off_;  // on-off: on -> off
+  util::GeometricSampler holding_;    // kGeometric, p = 1/mean_holding
   // On-off per-channel state: current burst destination, or -1 when OFF.
   std::vector<std::int32_t> burst_dest_;
-  double p_on_;   // off -> on
-  double p_off_;  // on -> off
   std::uint64_t next_id_ = 0;
 };
 

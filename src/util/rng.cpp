@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -25,10 +24,6 @@ std::uint64_t derive_stream_seed(std::uint64_t master_seed,
 }
 
 namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int s) noexcept {
-  return (x << s) | (x >> (64 - s));
-}
-
 // GCC/Clang 128-bit type, shielded from -Wpedantic.
 __extension__ using u128 = unsigned __int128;
 }  // namespace
@@ -39,18 +34,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // xoshiro must not start from the all-zero state; splitmix64 never produces
   // four consecutive zeros, but guard anyway for defence in depth.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 Rng::State Rng::state() const noexcept {
@@ -98,27 +81,36 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   return lo + static_cast<std::int64_t>(uniform_below(span));
 }
 
-double Rng::uniform01() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
 }
 
-std::uint64_t Rng::geometric(double p) noexcept {
+BernoulliSampler::BernoulliSampler(double p) noexcept
+    : threshold_(p <= 0.0   ? 0
+                 : p >= 1.0 ? 1
+                            : static_cast<std::uint64_t>(
+                                  std::ceil(p * 0x1.0p53))),
+      draws_(p > 0.0 && p < 1.0) {}
+
+GeometricSampler::GeometricSampler(double p) noexcept
+    : log1m_p_(std::log1p(-p)), draws_(p < 1.0) {
   WDM_DCHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 1;
+}
+
+std::uint64_t GeometricSampler::sample(Rng& rng) const noexcept {
+  if (!draws_) return 1;
   // Inversion: ceil(ln(U) / ln(1-p)), support {1, 2, ...}.
-  const double u = 1.0 - uniform01();  // in (0, 1]
-  const double g = std::ceil(std::log(u) / std::log1p(-p));
+  const double u = 1.0 - rng.uniform01();  // in (0, 1]
+  const double g = std::ceil(std::log(u) / log1m_p_);
   return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
+ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+    : n_(static_cast<double>(n)), alpha_(alpha) {
   WDM_CHECK_MSG(n > 0, "ZipfSampler needs a nonempty support");
+  WDM_CHECK_MSG(n <= UINT32_MAX, "ZipfSampler support exceeds the guide table");
   WDM_CHECK_MSG(alpha >= 0.0, "Zipf exponent must be nonnegative");
   cdf_.resize(n);
   double total = 0.0;
@@ -126,14 +118,18 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
     total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
     cdf_[i] = total;
   }
-  for (auto& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against accumulated rounding
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform01();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // Normalise (the last entry is pinned to 1 against accumulated rounding)
+  // and fill the guide table in the same pass: guide_[j] is the first i with
+  // bucket(cdf_[i]) >= j. bucket(1.0) is the last bucket, so every entry is
+  // written.
+  guide_.resize(n);
+  std::size_t filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cdf_[i] = i + 1 == n ? 1.0 : cdf_[i] / total;
+    for (const std::size_t b = bucket(cdf_[i]); filled <= b; ++filled) {
+      guide_[filled] = static_cast<std::uint32_t>(i);
+    }
+  }
 }
 
 }  // namespace wdm::util

@@ -39,7 +39,17 @@ class Rng {
 
   /// Next 64 uniformly random bits.
   std::uint64_t operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Derives an independent child generator (counter-based splitting).
   Rng split() noexcept;
@@ -60,15 +70,13 @@ class Rng {
   /// Uniform in [0, n). Requires n > 0. Unbiased (Lemire rejection).
   std::uint64_t uniform_below(std::uint64_t n) noexcept;
 
-  /// Uniform double in [0, 1).
-  double uniform01() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits of a draw, m * 2^-53.
+  double uniform01() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
-
-  /// Geometric: number of slots a connection holds, support {1, 2, ...},
-  /// mean 1/p. Requires 0 < p <= 1.
-  std::uint64_t geometric(double p) noexcept;
 
   /// Fisher–Yates shuffle. The draw sequence depends only on the length, so
   /// shuffling a vector or a span of the same size replays identically.
@@ -86,22 +94,88 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int s) noexcept {
+    return (x << s) | (x >> (64 - s));
+  }
+
   std::uint64_t s_[4];
   std::uint64_t split_counter_ = 0;
 };
 
+/// Bernoulli(p) for a fixed p, as an integer threshold on the 53 bits
+/// uniform01() is made of. With u = m * 2^-53, u < p holds exactly when
+/// m < p * 2^53 (scaling by a power of two is exact), i.e. when
+/// m < ceil(p * 2^53) since m is an integer. So sample() returns what
+/// Rng::bernoulli(p) returns, from the same single draw — and, like it,
+/// draws nothing when p <= 0 or p >= 1.
+class BernoulliSampler {
+ public:
+  explicit BernoulliSampler(double p) noexcept;
+
+  bool sample(Rng& rng) const noexcept {
+    return draws_ ? (rng.next() >> 11) < threshold_ : threshold_ != 0;
+  }
+
+ private:
+  std::uint64_t threshold_;  // ceil(p * 2^53); 0 / 1 for the drawless cases
+  bool draws_;
+};
+
+/// Geometric(p) on {1, 2, ...} (mean 1/p) — e.g. the number of slots a
+/// connection holds — by inversion: ceil(ln(U) / ln(1-p)), U = 1 - uniform01()
+/// in (0, 1], with ln(1-p) computed once per sampler. The division is kept
+/// (a multiply by its reciprocal would round differently), so each draw is
+/// the formula's. p == 1 consumes no draw. Requires 0 < p <= 1.
+class GeometricSampler {
+ public:
+  explicit GeometricSampler(double p) noexcept;
+
+  std::uint64_t sample(Rng& rng) const noexcept;
+
+ private:
+  double log1m_p_;  // std::log1p(-p)
+  bool draws_;      // p < 1
+};
+
 /// Zipf(α) sampler over {0, ..., n-1} with precomputed inverse CDF; used for
 /// hotspot destination traffic. α = 0 degenerates to the uniform distribution.
+///
+/// The inverse CDF is a guide table (Chen & Asau): bucket j of [0, 1) holds
+/// the first index whose CDF value falls in bucket j or later, under the same
+/// floating-point bucket map index_of() applies to u. That map is monotone,
+/// so every index before guide_[j] has cdf < u for any u in bucket j: the
+/// entry is a lower bound of the answer, and a short forward walk finishes
+/// the search. One uniform per sample, O(1) expected work.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
-  std::size_t sample(Rng& rng) const noexcept;
+  /// One uniform01() draw mapped through index_of().
+  std::size_t sample(Rng& rng) const noexcept {
+    return index_of(rng.uniform01());
+  }
+
+  /// The smallest i with cdf[i] >= u, for u in [0, 1) — exactly
+  /// std::lower_bound over cdf().
+  std::size_t index_of(double u) const noexcept {
+    std::size_t i = guide_[bucket(u)];
+    while (cdf_[i] < u) ++i;
+    return i;
+  }
+
   std::size_t size() const noexcept { return cdf_.size(); }
   double alpha() const noexcept { return alpha_; }
+  std::span<const double> cdf() const noexcept { return cdf_; }
 
  private:
-  std::vector<double> cdf_;  // cdf_[i] = P(X <= i)
+  std::size_t bucket(double x) const noexcept {
+    const auto j = static_cast<std::size_t>(x * n_);
+    return j < guide_.size() ? j : guide_.size() - 1;
+  }
+
+  std::vector<double> cdf_;  // cdf_[i] = P(X <= i); cdf_.back() == 1
+  std::vector<std::uint32_t> guide_;
+  double n_;  // support size as a double, the bucket scale
   double alpha_;
 };
 

@@ -1,6 +1,9 @@
 // RNG determinism, distribution sanity, and stream independence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -98,15 +101,16 @@ TEST(Rng, BernoulliMean) {
 
 TEST(Rng, GeometricSupportAndMean) {
   util::Rng rng(19);
+  const util::GeometricSampler geometric(0.25);
   double sum = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    const auto g = rng.geometric(0.25);
+    const auto g = geometric.sample(rng);
     EXPECT_GE(g, 1u);
     sum += static_cast<double>(g);
   }
   EXPECT_NEAR(sum / n, 4.0, 0.2);  // mean 1/p
-  EXPECT_EQ(rng.geometric(1.0), 1u);
+  EXPECT_EQ(util::GeometricSampler(1.0).sample(rng), 1u);
 }
 
 TEST(Zipf, AlphaZeroIsUniform) {
@@ -137,6 +141,149 @@ TEST(Zipf, SingletonSupport) {
 TEST(Zipf, RejectsInvalidConfig) {
   EXPECT_THROW(util::ZipfSampler(0, 1.0), std::logic_error);
   EXPECT_THROW(util::ZipfSampler(4, -0.5), std::logic_error);
+}
+
+// The guide-table lookup must be std::lower_bound over the CDF for every u
+// in [0, 1): probe every CDF value and bucket edge with their floating-point
+// neighbours (where an off-by-one would show), then a million random draws.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  const auto lower_bound_index = [](std::span<const double> cdf, double u) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+  util::Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 256u, 1000u}) {
+    for (const double alpha : {0.0, 0.5, 1.0, 1.5, 3.0}) {
+      const util::ZipfSampler zipf(n, alpha);
+      const auto cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(cdf.back(), 1.0);
+      std::vector<double> probes;
+      const auto around = [&probes](double x) {
+        probes.push_back(std::nextafter(x, 0.0));
+        probes.push_back(x);
+        probes.push_back(std::nextafter(x, 1.0));
+      };
+      for (const double c : cdf) around(c);
+      for (std::size_t j = 0; j <= n; ++j) {
+        around(static_cast<double>(j) / static_cast<double>(n));
+      }
+      probes.push_back(0.0);
+      probes.push_back(std::nextafter(1.0, 0.0));
+      for (const double u : probes) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(zipf.index_of(u), lower_bound_index(cdf, u))
+            << "n=" << n << " alpha=" << alpha << " u=" << u;
+      }
+      const int draws = n == 1000 && alpha == 1.0 ? 1'000'000 : 20'000;
+      for (int i = 0; i < draws; ++i) {
+        const double u = rng.uniform01();
+        ASSERT_EQ(zipf.index_of(u), lower_bound_index(cdf, u))
+            << "n=" << n << " alpha=" << alpha << " u=" << u;
+      }
+    }
+  }
+}
+
+// sample() spends exactly one uniform per call.
+TEST(Zipf, SampleConsumesOneUniform) {
+  const util::ZipfSampler zipf(37, 1.2);
+  util::Rng a(43), b(43);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(zipf.sample(a), zipf.index_of(b.uniform01()));
+  }
+  EXPECT_EQ(a.next(), b.next());
+}
+
+// A generator whose next draw is exactly `x`: xoshiro256** outputs
+// rotl(s1 * 5, 7) * 9, so s1 = rotr(x * 9^-1, 7) * 5^-1 (mod 2^64).
+util::Rng rng_emitting(std::uint64_t x) {
+  const auto inverse = [](std::uint64_t a) {
+    std::uint64_t inv = a;  // Newton: each step doubles the correct bits
+    for (int i = 0; i < 6; ++i) inv *= 2 - a * inv;
+    return inv;
+  };
+  const std::uint64_t y = x * inverse(9);
+  util::Rng::State state;
+  state.s[0] = 1;
+  state.s[1] = ((y >> 7) | (y << 57)) * inverse(5);
+  util::Rng rng;
+  rng.restore(state);
+  return rng;
+}
+
+TEST(Rng, RngEmittingCraftsTheDraw) {
+  for (const std::uint64_t x : {0ULL, 1ULL, 0x123456789abcdef0ULL, ~0ULL}) {
+    EXPECT_EQ(rng_emitting(x).next(), x);
+  }
+}
+
+// The integer threshold decides exactly as uniform01() < p: feed both the
+// mantissas on either side of ceil(p * 2^53) and the ends of the range.
+TEST(Rng, BernoulliSamplerMatchesUniformCompare) {
+  const double probs[] = {std::numeric_limits<double>::denorm_min(),
+                          0x1.0p-53,
+                          0x1.8p-53,
+                          1e-9,
+                          0.1,
+                          1.0 / 3.0,
+                          0.5,
+                          std::nextafter(0.5, 1.0),
+                          0.8,
+                          0.9,
+                          1.0 - 0x1.0p-53,
+                          std::nextafter(1.0, 0.0)};
+  constexpr std::uint64_t kMantissas = 1ULL << 53;
+  for (const double p : probs) {
+    const util::BernoulliSampler sampler(p);
+    const auto edge = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    std::vector<std::uint64_t> mantissas = {0, 1, kMantissas - 1};
+    for (std::uint64_t d = 0; d < 3; ++d) {
+      if (edge >= d) mantissas.push_back(edge - d);
+      if (edge + d < kMantissas) mantissas.push_back(edge + d);
+    }
+    for (const std::uint64_t m : mantissas) {
+      // Low 11 bits set: uniform01() discards them, so must the threshold.
+      const std::uint64_t draw = (m << 11) | 0x7ff;
+      util::Rng a = rng_emitting(draw), b = rng_emitting(draw);
+      EXPECT_EQ(sampler.sample(a), b.uniform01() < p)
+          << "p=" << p << " m=" << m;
+    }
+    util::Rng a(47), b(47);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(sampler.sample(a), b.bernoulli(p)) << "p=" << p;
+    }
+    EXPECT_EQ(a.next(), b.next());
+  }
+}
+
+// p <= 0 and p >= 1 decide without a draw, like Rng::bernoulli.
+TEST(Rng, BernoulliSamplerDegenerateCasesDrawNothing) {
+  util::Rng a(53), b(53);
+  EXPECT_FALSE(util::BernoulliSampler(0.0).sample(a));
+  EXPECT_FALSE(util::BernoulliSampler(-1.0).sample(a));
+  EXPECT_TRUE(util::BernoulliSampler(1.0).sample(a));
+  EXPECT_TRUE(util::BernoulliSampler(2.0).sample(a));
+  EXPECT_EQ(a.next(), b.next());
+}
+
+// The hoisted ln(1-p) gives the variates of the inversion formula with
+// ln(1-p) evaluated on every draw, and p = 1 consumes no draw.
+TEST(Rng, GeometricSamplerMatchesInversionFormula) {
+  for (const double p : {1.0 / 2.0, 1.0 / 3.5, 1.0 / 4.0, 1e-3}) {
+    const util::GeometricSampler sampler(p);
+    util::Rng a(59), b(59);
+    for (int i = 0; i < 5000; ++i) {
+      const double g =
+          std::ceil(std::log(1.0 - b.uniform01()) / std::log1p(-p));
+      ASSERT_EQ(sampler.sample(a),
+                g < 1.0 ? 1u : static_cast<std::uint64_t>(g))
+          << "p=" << p;
+    }
+  }
+  util::Rng a(61), b(61);
+  EXPECT_EQ(util::GeometricSampler(1.0).sample(a), 1u);
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
+#include "sim/interconnect.hpp"
 #include "sim/traffic.hpp"
 
 namespace wdm {
@@ -186,6 +188,119 @@ TEST(Traffic, InvalidConfigRejected) {
   TrafficConfig bad2;
   bad2.mean_holding = 0.5;
   EXPECT_THROW(TrafficGenerator(2, 2, bad2, 1), std::logic_error);
+}
+
+// Golden request streams: an FNV-1a64 hash over every field of every request
+// of 500 slots. Any change to the sampling arithmetic that alters a single
+// draw (which uniform feeds which decision, a rounding in the geometric or
+// Zipf inversion) moves the hash; the values were captured from the
+// straightforward lower_bound / per-draw log1p / uniform01() < p sampler.
+class StreamHash {
+ public:
+  template <typename T>
+  void add(T v) {
+    auto bits = static_cast<std::uint64_t>(v);
+    for (std::size_t b = 0; b < sizeof(T); ++b, bits >>= 8) {
+      h_ = (h_ ^ (bits & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  void add(const std::vector<core::SlotRequest>& slot) {
+    add(static_cast<std::uint64_t>(slot.size()));
+    for (const auto& r : slot) {
+      add(r.input_fiber);
+      add(r.wavelength);
+      add(r.output_fiber);
+      add(r.id);
+      add(r.duration);
+      add(r.priority);
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+constexpr int kGoldenSlots = 500;
+
+std::uint64_t open_loop_stream_hash(std::int32_t n, std::int32_t k,
+                                    const TrafficConfig& cfg,
+                                    std::uint64_t seed) {
+  TrafficGenerator gen(n, k, cfg, seed);
+  StreamHash h;
+  for (int s = 0; s < kGoldenSlots; ++s) h.add(gen.next_slot());
+  return h.value();
+}
+
+// Closed loop: the busy mask comes from a live interconnect that schedules
+// (and holds) the generated requests, so suppression tracks real occupancy.
+std::uint64_t closed_loop_stream_hash(std::int32_t n, std::int32_t k,
+                                      const TrafficConfig& cfg,
+                                      std::uint64_t seed) {
+  sim::InterconnectConfig ic_cfg;
+  ic_cfg.n_fibers = n;
+  ic_cfg.scheme = core::ConversionScheme::circular(k, 1, 1);
+  ic_cfg.seed = seed;
+  sim::Interconnect ic(ic_cfg);
+  TrafficGenerator gen(n, k, cfg, seed);
+  StreamHash h;
+  std::vector<std::uint8_t> busy;
+  std::vector<core::SlotRequest> arrivals;
+  for (int s = 0; s < kGoldenSlots; ++s) {
+    ic.input_channel_busy_into(busy);
+    gen.next_slot_into(busy, arrivals);
+    h.add(arrivals);
+    ic.step(arrivals);
+  }
+  return h.value();
+}
+
+TEST(TrafficGolden, BernoulliUniformSingleSlot) {
+  TrafficConfig cfg;
+  cfg.load = 0.6;
+  EXPECT_EQ(open_loop_stream_hash(8, 4, cfg, 101), 0x67c34d88f8117686ULL);
+}
+
+TEST(TrafficGolden, BernoulliGeometricHolding) {
+  TrafficConfig cfg;
+  cfg.load = 0.7;
+  cfg.holding = HoldingTime::kGeometric;
+  cfg.mean_holding = 3.5;
+  EXPECT_EQ(open_loop_stream_hash(8, 4, cfg, 202), 0xa1425d49ff9142e0ULL);
+}
+
+TEST(TrafficGolden, OnOffZipfGeometricTwoClasses) {
+  TrafficConfig cfg;
+  cfg.load = 0.8;
+  cfg.arrivals = ArrivalProcess::kOnOff;
+  cfg.mean_burst_length = 6.0;
+  cfg.destinations = DestinationPattern::kHotspot;
+  cfg.hotspot_alpha = 1.2;
+  cfg.holding = HoldingTime::kGeometric;
+  cfg.mean_holding = 2.5;
+  cfg.class_mix = {0.3, 0.7};
+  EXPECT_EQ(open_loop_stream_hash(16, 4, cfg, 303), 0x9cec3db4cb4852bbULL);
+}
+
+TEST(TrafficGolden, BernoulliBusySuppressionFromInterconnect) {
+  TrafficConfig cfg;
+  cfg.load = 0.9;
+  cfg.destinations = DestinationPattern::kHotspot;
+  cfg.hotspot_alpha = 0.8;
+  cfg.holding = HoldingTime::kGeometric;
+  cfg.mean_holding = 4.0;
+  EXPECT_EQ(closed_loop_stream_hash(8, 8, cfg, 404), 0x693b2e6c88cd8202ULL);
+}
+
+TEST(TrafficGolden, OnOffBusySuppressionFromInterconnect) {
+  TrafficConfig cfg;
+  cfg.load = 0.9;
+  cfg.arrivals = ArrivalProcess::kOnOff;
+  cfg.mean_burst_length = 4.0;
+  cfg.holding = HoldingTime::kGeometric;
+  cfg.mean_holding = 3.0;
+  cfg.class_mix = {0.5, 0.25, 0.25};
+  EXPECT_EQ(closed_loop_stream_hash(8, 8, cfg, 505), 0x6cd728fda2f61422ULL);
 }
 
 }  // namespace
