@@ -1,6 +1,7 @@
 #include "core/break_first_available.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/breaking.hpp"
@@ -33,9 +34,8 @@ Wavelength pick_breaking_wavelength(const RequestVector& requests,
   return kNone;
 }
 
-void validate_inputs(const RequestVector& requests,
-                     const ConversionScheme& scheme,
-                     std::span<const std::uint8_t> available) {
+void validate_scheme(const RequestVector& requests,
+                     const ConversionScheme& scheme) {
   WDM_CHECK_MSG(scheme.kind() == ConversionKind::kCircular,
                 "break_first_available requires a circular scheme; "
                 "use first_available for non-circular conversion");
@@ -43,14 +43,141 @@ void validate_inputs(const RequestVector& requests,
                 "full-range conversion is scheduled trivially (Section I)");
   WDM_CHECK_MSG(requests.k() == scheme.k(),
                 "request vector and scheme disagree on k");
+}
+
+void validate_inputs(const RequestVector& requests,
+                     const ConversionScheme& scheme,
+                     std::span<const std::uint8_t> available) {
+  validate_scheme(requests, scheme);
   WDM_CHECK_MSG(available.empty() ||
                     static_cast<std::int32_t>(available.size()) == scheme.k(),
                 "availability mask must have one entry per channel");
 }
 
-}  // namespace
+/// adjacent_vertex_bound over either availability form, in one O(k) pass.
+/// Wavelength i reaches the channel run [i-e, i+f] and channel i is reached
+/// from the wavelength run [i-f, i+e] (mod k); d < k, so each run holds d
+/// distinct entries and both neighbourhood counts slide by one per step.
+template <typename FreeFn>
+std::int32_t vertex_bound(const RequestVector& requests,
+                          const ConversionScheme& scheme, FreeFn&& is_free) {
+  const std::int32_t k = scheme.k();
+  const std::vector<std::int32_t>& counts = requests.counts();
+  const auto free_at = [&](Channel v) { return is_free(v) ? 1 : 0; };
+  const auto pending_at = [&counts](Wavelength w) {
+    return counts[static_cast<std::size_t>(w)] > 0 ? 1 : 0;
+  };
+  const auto next = [k](std::int32_t x) { return x + 1 == k ? 0 : x + 1; };
+  Channel ch_out = mod_k(-scheme.e(), k);  // leaves wavelength i's run next
+  Channel ch_in = ch_out;                  // enters it next
+  Wavelength w_out = mod_k(-scheme.f(), k);
+  Wavelength w_in = w_out;
+  std::int32_t free_near = 0;     // free channels adjacent to wavelength i
+  std::int32_t pending_near = 0;  // pending wavelengths adjacent to channel i
+  for (std::int32_t s = 0; s < scheme.degree(); ++s) {
+    free_near += free_at(ch_in);
+    pending_near += pending_at(w_in);
+    ch_in = next(ch_in);
+    w_in = next(w_in);
+  }
+  std::int32_t live_requests = 0;
+  std::int32_t live_channels = 0;
+  for (std::int32_t i = 0; i < k; ++i) {
+    live_requests += free_near > 0 ? counts[static_cast<std::size_t>(i)] : 0;
+    live_channels += pending_near > 0 ? free_at(i) : 0;
+    free_near += free_at(ch_in) - free_at(ch_out);
+    pending_near += pending_at(w_in) - pending_at(w_out);
+    ch_in = next(ch_in);
+    ch_out = next(ch_out);
+    w_in = next(w_in);
+    w_out = next(w_out);
+  }
+  return std::min(live_requests, live_channels);
+}
 
-namespace {
+/// The exhaustive Table-3 sweep over w_i's free adjacent channels, shared by
+/// the byte and masked tiers: run(u, out) schedules the candidate breaking
+/// at channel u. It stops once the best candidate so far reaches
+/// min(requests, free channels), or else adjacent_vertex_bound; the first
+/// candidate to reach an upper bound on the maximum is the first of maximum
+/// size, so the winner is unchanged.
+template <typename FreeFn, typename RunFn>
+void sweep_breaks(const RequestVector& requests, const ConversionScheme& scheme,
+                  Wavelength w_i, FreeFn&& is_free, RunFn&& run,
+                  util::ThreadPool* pool, BfaScratch& scratch,
+                  ChannelAssignment& out) {
+  const std::int32_t k = scheme.k();
+  std::vector<Channel>& candidates = scratch.candidates;
+  std::vector<ChannelAssignment>& results = scratch.results;
+  candidates.clear();
+  const std::int32_t deg = scheme.adjacency_count(w_i);
+  for (std::int32_t idx = 0; idx < deg; ++idx) {
+    const Channel u = scheme.adjacency_at(w_i, idx);
+    if (is_free(u)) candidates.push_back(u);
+  }
+  WDM_DCHECK(!candidates.empty());
+
+  // Grow-only: keep previously warmed assignments alive; each candidate run
+  // resets its slot in place, so no per-slot allocation once warm.
+  const std::size_t n = candidates.size();
+  if (results.size() < n) results.resize(n, ChannelAssignment(k));
+  const auto run_candidate = [&](std::size_t idx) {
+    run(candidates[idx], results[idx]);
+  };
+  const bool parallel = pool != nullptr && n > 1;
+  if (parallel) {
+    pool->parallel_for(0, n, run_candidate);
+  } else {
+    run_candidate(0);
+  }
+
+  std::size_t best = 0;
+  if (n > 1) {
+    std::int32_t free_channels = 0;
+    for (Channel v = 0; v < k; ++v) free_channels += is_free(v) ? 1 : 0;
+    std::int32_t bound = std::min(requests.total(), free_channels);
+    if (results[0].granted < bound) {
+      bound = vertex_bound(requests, scheme, is_free);
+    }
+    for (std::size_t idx = 1; idx < n && results[best].granted < bound;
+         ++idx) {
+      if (!parallel) run_candidate(idx);
+      if (results[idx].granted > results[best].granted) best = idx;
+    }
+  }
+  // Hand the winner over by swapping buffers; both stay warm, so the next
+  // call's in-place resets still never allocate.
+  out.source.swap(results[best].source);
+  out.granted = results[best].granted;
+}
+
+/// The Section IV.C break: w_i's free adjacent channel with the smallest
+/// Theorem-3 gap bound, ties broken toward the centre δ* = (d+1)/2
+/// (Corollary 1's "shortest" edge). Requires a free adjacent channel.
+template <typename FreeFn>
+Channel pick_approx_break(const ConversionScheme& scheme, Wavelength w_i,
+                          FreeFn&& is_free) {
+  const std::int32_t d = scheme.degree();
+  const std::int32_t delta_star = (d + 1) / 2;
+  Channel best_u = kNone;
+  std::int32_t best_delta = 0;
+  std::int32_t best_bound = 0;
+  for (std::int32_t idx = 0; idx < d; ++idx) {
+    const Channel u = scheme.adjacency_at(w_i, idx);
+    if (!is_free(u)) continue;
+    const std::int32_t delta = idx + 1;
+    const std::int32_t bound = breaking_gap_bound(d, delta);
+    if (best_u == kNone || bound < best_bound ||
+        (bound == best_bound &&
+         std::abs(delta - delta_star) < std::abs(best_delta - delta_star))) {
+      best_u = u;
+      best_delta = delta;
+      best_bound = bound;
+    }
+  }
+  WDM_DCHECK(best_u != kNone);
+  return best_u;
+}
 
 /// bfa_single_break_into minus the input validation — the exhaustive sweep
 /// validates once and runs this d times, so the per-candidate cost stays the
@@ -150,48 +277,28 @@ void break_first_available_into(const RequestVector& requests,
                                 util::ThreadPool* pool, BfaScratch& scratch,
                                 ChannelAssignment& out) {
   validate_inputs(requests, scheme, available);
-  const std::int32_t k = scheme.k();
   const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
   if (w_i == kNone) {
-    out.reset(k);
+    out.reset(scheme.k());
     return;
   }
 
-  scratch.candidates.clear();
-  const std::int32_t deg = scheme.adjacency_count(w_i);
-  for (std::int32_t idx = 0; idx < deg; ++idx) {
-    const Channel u = scheme.adjacency_at(w_i, idx);
-    if (channel_free(available, u)) scratch.candidates.push_back(u);
-  }
-  WDM_DCHECK(!scratch.candidates.empty());
+  sweep_breaks(
+      requests, scheme, w_i,
+      [available](Channel v) { return channel_free(available, v); },
+      [&](Channel u, ChannelAssignment& cand) {
+        single_break_unchecked(requests, scheme, available, w_i, u, cand);
+      },
+      pool, scratch, out);
+}
 
-  // Grow-only: keep previously warmed assignments alive; each candidate run
-  // resets its slot in place, so no per-slot allocation once warm.
-  if (scratch.results.size() < scratch.candidates.size()) {
-    scratch.results.resize(scratch.candidates.size(), ChannelAssignment(k));
-  }
-  const auto run_candidate = [&](std::size_t idx) {
-    single_break_unchecked(requests, scheme, available, w_i,
-                           scratch.candidates[idx], scratch.results[idx]);
-  };
-  if (pool != nullptr && scratch.candidates.size() > 1) {
-    pool->parallel_for(0, scratch.candidates.size(), run_candidate);
-  } else {
-    for (std::size_t idx = 0; idx < scratch.candidates.size(); ++idx) {
-      run_candidate(idx);
-    }
-  }
-
-  // Deterministic winner: first candidate (minus-side order) of maximum size.
-  std::size_t best = 0;
-  for (std::size_t idx = 1; idx < scratch.candidates.size(); ++idx) {
-    if (scratch.results[idx].granted > scratch.results[best].granted) {
-      best = idx;
-    }
-  }
-  out.source.assign(scratch.results[best].source.begin(),
-                    scratch.results[best].source.end());
-  out.granted = scratch.results[best].granted;
+std::int32_t adjacent_vertex_bound(const RequestVector& requests,
+                                   const ConversionScheme& scheme,
+                                   std::span<const std::uint8_t> available) {
+  validate_inputs(requests, scheme, available);
+  return vertex_bound(requests, scheme, [available](Channel v) {
+    return channel_free(available, v);
+  });
 }
 
 ChannelAssignment break_first_available(const RequestVector& requests,
@@ -214,31 +321,11 @@ Channel approx_break_first_available_into(
     return kNone;
   }
 
-  const std::int32_t d = scheme.degree();
-  const std::int32_t delta_star = (d + 1) / 2;  // Corollary 1: "shortest" edge
-
-  // Pick the available adjacent channel with the smallest Theorem-3 bound,
-  // breaking ties toward the centre.
-  Channel best_u = kNone;
-  std::int32_t best_delta = 0;
-  std::int32_t best_bound = 0;
-  for (std::int32_t idx = 0; idx < d; ++idx) {
-    const Channel u = scheme.adjacency_at(w_i, idx);
-    if (!channel_free(available, u)) continue;
-    const std::int32_t delta = idx + 1;
-    const std::int32_t bound = breaking_gap_bound(d, delta);
-    if (best_u == kNone || bound < best_bound ||
-        (bound == best_bound &&
-         std::abs(delta - delta_star) < std::abs(best_delta - delta_star))) {
-      best_u = u;
-      best_delta = delta;
-      best_bound = bound;
-    }
-  }
-  WDM_DCHECK(best_u != kNone);
-
-  bfa_single_break_into(requests, scheme, available, w_i, best_u, out);
-  return best_u;
+  const Channel u = pick_approx_break(scheme, w_i, [available](Channel v) {
+    return channel_free(available, v);
+  });
+  bfa_single_break_into(requests, scheme, available, w_i, u, out);
+  return u;
 }
 
 namespace {
@@ -266,13 +353,7 @@ void validate_masked_inputs(const RequestVector& requests,
                             const ConversionScheme& scheme,
                             std::span<const std::uint64_t> avail_words,
                             std::span<const std::uint64_t> nonempty_words) {
-  WDM_CHECK_MSG(scheme.kind() == ConversionKind::kCircular,
-                "break_first_available requires a circular scheme; "
-                "use first_available for non-circular conversion");
-  WDM_CHECK_MSG(!scheme.is_full_range(),
-                "full-range conversion is scheduled trivially (Section I)");
-  WDM_CHECK_MSG(requests.k() == scheme.k(),
-                "request vector and scheme disagree on k");
+  validate_scheme(requests, scheme);
   WDM_CHECK_MSG(avail_words.size() == mask_words(scheme.k()) &&
                     nonempty_words.size() == mask_words(scheme.k()),
                 "packed masks must have mask_words(k) words");
@@ -402,49 +483,21 @@ void break_first_available_masked_into(
     std::span<const std::uint64_t> nonempty_words, util::ThreadPool* pool,
     BfaScratch& scratch, ChannelAssignment& out) {
   validate_masked_inputs(requests, scheme, avail_words, nonempty_words);
-  const std::int32_t k = scheme.k();
   const std::uint64_t* avail = avail_words.data();
   const std::uint64_t* nonempty = nonempty_words.data();
   const Wavelength w_i =
       pick_breaking_wavelength_masked(scheme, avail, nonempty);
   if (w_i == kNone) {
-    out.reset(k);
+    out.reset(scheme.k());
     return;
   }
 
-  scratch.candidates.clear();
-  const std::int32_t deg = scheme.adjacency_count(w_i);
-  for (std::int32_t idx = 0; idx < deg; ++idx) {
-    const Channel u = scheme.adjacency_at(w_i, idx);
-    if (mask_test(avail, u)) scratch.candidates.push_back(u);
-  }
-  WDM_DCHECK(!scratch.candidates.empty());
-
-  if (scratch.results.size() < scratch.candidates.size()) {
-    scratch.results.resize(scratch.candidates.size(), ChannelAssignment(k));
-  }
-  const auto run_candidate = [&](std::size_t idx) {
-    single_break_masked(requests, scheme, avail, nonempty, w_i,
-                        scratch.candidates[idx], scratch.results[idx]);
-  };
-  if (pool != nullptr && scratch.candidates.size() > 1) {
-    pool->parallel_for(0, scratch.candidates.size(), run_candidate);
-  } else {
-    for (std::size_t idx = 0; idx < scratch.candidates.size(); ++idx) {
-      run_candidate(idx);
-    }
-  }
-
-  // Deterministic winner: first candidate (minus-side order) of maximum size.
-  std::size_t best = 0;
-  for (std::size_t idx = 1; idx < scratch.candidates.size(); ++idx) {
-    if (scratch.results[idx].granted > scratch.results[best].granted) {
-      best = idx;
-    }
-  }
-  out.source.assign(scratch.results[best].source.begin(),
-                    scratch.results[best].source.end());
-  out.granted = scratch.results[best].granted;
+  sweep_breaks(
+      requests, scheme, w_i, [avail](Channel v) { return mask_test(avail, v); },
+      [&](Channel u, ChannelAssignment& cand) {
+        single_break_masked(requests, scheme, avail, nonempty, w_i, u, cand);
+      },
+      pool, scratch, out);
 }
 
 Channel approx_break_first_available_masked_into(
@@ -460,65 +513,23 @@ Channel approx_break_first_available_masked_into(
     return kNone;
   }
 
-  const std::int32_t d = scheme.degree();
-  const std::int32_t delta_star = (d + 1) / 2;  // Corollary 1: "shortest" edge
-
-  Channel best_u = kNone;
-  std::int32_t best_delta = 0;
-  std::int32_t best_bound = 0;
-  for (std::int32_t idx = 0; idx < d; ++idx) {
-    const Channel u = scheme.adjacency_at(w_i, idx);
-    if (!mask_test(avail, u)) continue;
-    const std::int32_t delta = idx + 1;
-    const std::int32_t bound = breaking_gap_bound(d, delta);
-    if (best_u == kNone || bound < best_bound ||
-        (bound == best_bound &&
-         std::abs(delta - delta_star) < std::abs(best_delta - delta_star))) {
-      best_u = u;
-      best_delta = delta;
-      best_bound = bound;
-    }
-  }
-  WDM_DCHECK(best_u != kNone);
-
-  single_break_masked(requests, scheme, avail, nonempty_words.data(), w_i,
-                      best_u, out);
-  return best_u;
+  const Channel u = pick_approx_break(
+      scheme, w_i, [avail](Channel v) { return mask_test(avail, v); });
+  single_break_masked(requests, scheme, avail, nonempty_words.data(), w_i, u,
+                      out);
+  return u;
 }
 
 ApproxBfaResult approx_break_first_available(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint8_t> available) {
-  validate_inputs(requests, scheme, available);
   ApproxBfaResult out{ChannelAssignment(scheme.k()), kNone, 0, 0};
+  out.break_channel = approx_break_first_available_into(
+      requests, scheme, available, out.assignment);
+  if (out.break_channel == kNone) return out;
   const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
-  if (w_i == kNone) return out;
-
-  const std::int32_t d = scheme.degree();
-  const std::int32_t delta_star = (d + 1) / 2;  // Corollary 1: "shortest" edge
-
-  Channel best_u = kNone;
-  std::int32_t best_delta = 0;
-  std::int32_t best_bound = 0;
-  for (std::int32_t idx = 0; idx < d; ++idx) {
-    const Channel u = scheme.adjacency_at(w_i, idx);
-    if (!channel_free(available, u)) continue;
-    const std::int32_t delta = idx + 1;
-    const std::int32_t bound = breaking_gap_bound(d, delta);
-    if (best_u == kNone || bound < best_bound ||
-        (bound == best_bound &&
-         std::abs(delta - delta_star) < std::abs(best_delta - delta_star))) {
-      best_u = u;
-      best_delta = delta;
-      best_bound = bound;
-    }
-  }
-  WDM_DCHECK(best_u != kNone);
-
-  out.assignment = bfa_single_break(requests, scheme, available, w_i, best_u);
-  out.break_channel = best_u;
-  out.delta = best_delta;
-  out.gap_bound = best_bound;
+  out.delta = delta_of(scheme, w_i, out.break_channel);
+  out.gap_bound = breaking_gap_bound(scheme.degree(), out.delta);
   return out;
 }
 

@@ -36,7 +36,10 @@ struct BfaScratch {
 
 /// Exact maximum-matching schedule for a circular, non-full-range scheme.
 /// `available` is a size-k mask (1 = free); empty means all free. If `pool`
-/// is non-null the d candidate breaks run on it in parallel.
+/// is non-null the d candidate breaks run on it in parallel. The result is
+/// the first candidate (minus-side order) of maximum size; the sweep stops
+/// at the first candidate that reaches adjacent_vertex_bound, which is that
+/// candidate.
 ChannelAssignment break_first_available(const RequestVector& requests,
                                         const ConversionScheme& scheme,
                                         std::span<const std::uint8_t> available = {},
@@ -50,6 +53,14 @@ void break_first_available_into(const RequestVector& requests,
                                 std::span<const std::uint8_t> available,
                                 util::ThreadPool* pool, BfaScratch& scratch,
                                 ChannelAssignment& out);
+
+/// Upper bound on any matching of the instance: the smaller of the number
+/// of requests with a free adjacent channel and the number of free channels
+/// adjacent to a pending wavelength. The exhaustive sweep stops once its
+/// best candidate reaches it (or min(requests, free channels)). O(k).
+std::int32_t adjacent_vertex_bound(const RequestVector& requests,
+                                   const ConversionScheme& scheme,
+                                   std::span<const std::uint8_t> available = {});
 
 /// One candidate of the exhaustive sweep: breaks at (first request of w_i,
 /// channel u) and schedules the reduced graph with First Available. The

@@ -202,9 +202,16 @@ void DistributedScheduler::schedule_slot_impl(
         ports_[fiber].schedule_into(batch, row_of(fiber), fiber_health, staged,
                                     degraded, bits_of(fiber));
       }
+      // Every routed request passes through here, so this is where a
+      // decision the port never made becomes an explicit internal error.
       for (std::size_t i = 0; i < staged.size(); ++i) {
-        decisions[soa_.origin[lo + i]] = staged[i];
-        if (staged[i].granted) granted += 1;
+        PortDecision d = staged[i];
+        if (d.reason == RejectReason::kUndecided) {
+          WDM_DCHECK(!"schedule_slot left a request undecided");
+          d = PortDecision::reject(RejectReason::kInternalError);
+        }
+        decisions[soa_.origin[lo + i]] = d;
+        granted += d.granted ? 1 : 0;
       }
     } catch (...) {
       // A kernel bug must not take the other fibers' grants down with it;
@@ -240,12 +247,6 @@ void DistributedScheduler::schedule_slot_impl(
     }
   }
   if (trace_fibers) telemetry_->append(fiber_events_);
-  for (auto& d : decisions) {
-    if (!d.granted && d.reason == RejectReason::kUndecided) {
-      WDM_DCHECK(!"schedule_slot left a request undecided");
-      d = PortDecision::reject(RejectReason::kInternalError);
-    }
-  }
 }
 
 std::vector<PortDecision> DistributedScheduler::schedule_slot(

@@ -1,6 +1,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "core/break_first_available.hpp"
@@ -36,6 +37,22 @@ graph::Interval compact_interval(const graph::Interval& iv,
   const auto lo = prefix[static_cast<std::size_t>(iv.begin)];
   const auto hi = prefix[static_cast<std::size_t>(iv.end) + 1] - 1;
   return graph::Interval{lo, hi};
+}
+
+/// Calls fn(i) for every i in [0, n) with pred(i), in ascending order. The
+/// predicate is gathered branch-free into 64-bit words and the hits are
+/// visited with countr_zero, so a random hit pattern costs no mispredicted
+/// branches.
+template <typename Pred, typename Fn>
+void for_each_where(std::int32_t n, Pred&& pred, Fn&& fn) {
+  for (std::int32_t base = 0; base < n; base += 64) {
+    const std::int32_t end = std::min(n, base + 64);
+    std::uint64_t hits = 0;
+    for (std::int32_t i = base; i < end; ++i) {
+      hits |= std::uint64_t{pred(i)} << static_cast<std::uint32_t>(i - base);
+    }
+    for (; hits != 0; hits &= hits - 1) fn(base + std::countr_zero(hits));
+  }
 }
 
 }  // namespace
@@ -263,8 +280,13 @@ bool OutputPortScheduler::use_masked_kernels() const noexcept {
 }
 
 void OutputPortScheduler::masked_assign_channels_into(
-    const RequestVector& requests, std::span<const std::uint64_t> avail_words,
-    ChannelAssignment& out, bool degraded) {
+    const RequestVector& requests, std::span<const std::uint8_t> available,
+    std::span<const std::uint64_t> avail_words, ChannelAssignment& out,
+    bool degraded) {
+  if (avail_words.size() != avail_bits_.size()) {
+    pack_availability(available, scheme_.k(), avail_bits_.data());
+    avail_words = avail_bits_;
+  }
   const std::span<const std::uint64_t> nonempty(nonempty_bits_.data(),
                                                 nonempty_bits_.size());
   switch (algorithm_) {
@@ -295,128 +317,74 @@ template <typename WaveFn>
 void OutputPortScheduler::arbitrate_into(std::size_t n_requests,
                                          WaveFn&& wavelength_of,
                                          std::span<PortDecision> decisions) {
-  const std::int32_t k = scheme_.k();
+  // Every competing request already carries reject(kNoChannel); a grant
+  // overwrites it, so nothing is left to fix up afterwards.
   const ChannelAssignment& assignment = assign_scratch_;
-
-  // Channels won by each wavelength, in increasing channel order, laid out
-  // as CSR (counting sort over the assignment; stability keeps the channel
-  // order the nested-vector implementation produced).
+  if (assignment.granted == 0) return;
+  const std::int32_t k = scheme_.k();
+  const auto uk = static_cast<std::size_t>(k);
   const auto uw = [](std::int32_t x) { return static_cast<std::size_t>(x); };
-  if (assignment.granted == 0) {
-    // Nothing won: every surviving request is a capacity rejection.
-    for (auto& d : decisions) {
-      if (d.reason == RejectReason::kUndecided) {
-        d = PortDecision::reject(RejectReason::kNoChannel);
-      }
-    }
-    return;
-  }
-  won_offsets_.assign(uw(k) + 1, 0);
-  for (Channel v = 0; v < k; ++v) {
-    const Wavelength w = assignment.source[uw(v)];
-    if (w != kNone) won_offsets_[uw(w) + 1] += 1;
-  }
-  for (std::size_t w = 0; w < uw(k); ++w) {
-    won_offsets_[w + 1] += won_offsets_[w];
-  }
-  won_flat_.resize(won_offsets_[uw(k)]);
-  csr_cursor_.assign(won_offsets_.begin(), won_offsets_.end() - 1);
-  for (Channel v = 0; v < k; ++v) {
-    const Wavelength w = assignment.source[uw(v)];
-    if (w == kNone) continue;
-    won_flat_[csr_cursor_[uw(w)]++] = v;
-  }
 
-  if (arbitration_ == Arbitration::kFifo) {
-    // FIFO needs no per-wavelength member lists: the winners for wavelength
-    // w are the first grant-count surviving requests carrying w in arrival
-    // order, and they take w's won channels in increasing channel order —
-    // one pass over the requests with csr_cursor_ as the per-wavelength
-    // next-channel cursor reproduces the CSR path decision for decision.
-    csr_cursor_.assign(won_offsets_.begin(), won_offsets_.end() - 1);
-    for (std::size_t idx = 0; idx < n_requests; ++idx) {
-      if (decisions[idx].reason != RejectReason::kUndecided) continue;
-      const std::size_t w = uw(wavelength_of(idx));
-      auto& cursor = csr_cursor_[w];
-      if (cursor < won_offsets_[w + 1]) {
-        decisions[idx] = PortDecision::grant(won_flat_[cursor++]);
-      } else {
-        decisions[idx] = PortDecision::reject(RejectReason::kNoChannel);
-      }
-    }
-    return;
+  // Competing request indices per wavelength, in arrival order, as CSR. The
+  // group sizes are the request vector's counts, so one backward scatter
+  // over the requests fills the groups and leaves each cursor at its
+  // group's first member.
+  const std::vector<std::int32_t>& counts = rv_scratch_.counts();
+  member_offsets_.resize(uk + 1);
+  member_offsets_[0] = 0;
+  for (std::size_t w = 0; w < uk; ++w) {
+    member_offsets_[w + 1] =
+        member_offsets_[w] + static_cast<std::uint32_t>(counts[w]);
   }
-
-  // Competing request indices per wavelength, in arrival (input) order —
-  // again a stable counting sort. Malformed requests were rejected above
-  // and never compete.
-  member_offsets_.assign(uw(k) + 1, 0);
-  for (std::size_t idx = 0; idx < n_requests; ++idx) {
-    if (decisions[idx].reason != RejectReason::kUndecided) continue;
-    member_offsets_[uw(wavelength_of(idx)) + 1] += 1;
-  }
-  for (std::size_t w = 0; w < uw(k); ++w) {
-    member_offsets_[w + 1] += member_offsets_[w];
-  }
-  member_flat_.resize(member_offsets_[uw(k)]);
-  csr_cursor_.assign(member_offsets_.begin(), member_offsets_.end() - 1);
-  for (std::size_t idx = 0; idx < n_requests; ++idx) {
-    if (decisions[idx].reason != RejectReason::kUndecided) continue;
-    member_flat_[csr_cursor_[uw(wavelength_of(idx))]++] =
+  member_flat_.resize(member_offsets_[uk]);
+  csr_cursor_.assign(member_offsets_.begin() + 1, member_offsets_.end());
+  for (std::size_t idx = n_requests; idx-- > 0;) {
+    if (decisions[idx].reason != RejectReason::kNoChannel) continue;
+    member_flat_[--csr_cursor_[uw(wavelength_of(idx))]] =
         static_cast<std::uint32_t>(idx);
   }
 
-  for (Wavelength w = 0; w < k; ++w) {
-    const std::size_t won_lo = won_offsets_[uw(w)];
-    const std::size_t won_hi = won_offsets_[uw(w) + 1];
-    if (won_lo == won_hi) continue;
-    const std::size_t n_won = won_hi - won_lo;
-    const std::span<std::uint32_t> group{
-        member_flat_.data() + member_offsets_[uw(w)],
-        member_offsets_[uw(w) + 1] - member_offsets_[uw(w)]};
-    WDM_DCHECK(n_won <= group.size());
+  // Arbitration (Section III: "a random selecting or a round-robin
+  // scheduling procedure") only fixes where each winning wavelength's grants
+  // start in its group: FIFO at the first arrival, round-robin at the stored
+  // cursor, random at the first member after a shuffle. Winning wavelengths
+  // are visited in ascending order, so the shuffles make the same RNG draws
+  // in the same order as a per-wavelength loop.
+  if (arbitration_ != Arbitration::kFifo) {
+    won_count_.assign(uk + 1, 0);  // bin 0 counts unassigned channels
+    for (const Wavelength w : assignment.source) won_count_[uw(w + 1)] += 1;
+    const auto won = [&](Wavelength w) { return won_count_[uw(w) + 1] != 0; };
+    for_each_where(k, won, [&](Wavelength won_w) {
+      const std::size_t w = uw(won_w);
+      const std::uint32_t n_won = won_count_[w + 1];
+      const std::uint32_t lo = member_offsets_[w];
+      const std::uint32_t n = member_offsets_[w + 1] - lo;
+      WDM_DCHECK(n_won <= n);
+      if (arbitration_ == Arbitration::kRandom) {
+        rng_.shuffle(std::span<std::uint32_t>(member_flat_.data() + lo, n));
+        return;
+      }
+      // The stored cursor is reduced once (it can be >= n when the group
+      // shrank since the last slot); only winning wavelengths move it.
+      const std::uint32_t stored = rr_cursor_[w];
+      const std::uint32_t start = stored < n ? stored : stored % n;
+      csr_cursor_[w] = lo + start;
+      const std::uint32_t next = start + n_won;
+      rr_cursor_[w] = next >= n ? next - n : next;
+    });
+  }
 
-    // Arbitration: choose |won| winners among the group (Section III:
-    // "a random selecting or a round-robin scheduling procedure").
-    switch (arbitration_) {
-      case Arbitration::kFifo:
-        for (std::size_t t = 0; t < n_won; ++t) {
-          decisions[group[t]] = PortDecision::grant(won_flat_[won_lo + t]);
-        }
-        break;
-      case Arbitration::kRoundRobin: {
-        // The stored cursor is reduced once (it can be >= n when the group
-        // shrank since the last slot), then advanced with a conditional
-        // wrap — the same positions as (cursor + t) % n, without a division
-        // per winner.
-        const std::size_t n = group.size();
-        const std::size_t stored = rr_cursor_[uw(w)];
-        std::size_t pos = stored < n ? stored : stored % n;
-        for (std::size_t t = 0; t < n_won; ++t) {
-          decisions[group[pos]] = PortDecision::grant(won_flat_[won_lo + t]);
-          if (++pos == n) pos = 0;
-        }
-        rr_cursor_[uw(w)] = static_cast<std::uint32_t>(pos);
-        break;
-      }
-      case Arbitration::kRandom: {
-        // Rng::shuffle draws depend only on the group length, so the
-        // narrower uint32 elements leave the winner sequence unchanged.
-        rng_.shuffle(group);
-        for (std::size_t t = 0; t < n_won; ++t) {
-          decisions[group[t]] = PortDecision::grant(won_flat_[won_lo + t]);
-        }
-        break;
-      }
-    }
-  }
-  // Everything still undecided competed and lost: an explicit capacity
-  // rejection, so no decision ever leaves here as kUndecided.
-  for (auto& d : decisions) {
-    if (!d.granted && d.reason == RejectReason::kUndecided) {
-      d = PortDecision::reject(RejectReason::kNoChannel);
-    }
-  }
+  // One ascending walk over the granted channels: the t-th channel won by w
+  // goes to member start + t of w's group, wrapping for round-robin.
+  const std::vector<Wavelength>& source = assignment.source;
+  for_each_where(
+      k, [&](Channel v) { return source[uw(v)] != kNone; },
+      [&](Channel v) {
+        const std::size_t w = uw(source[uw(v)]);
+        std::uint32_t& pos = csr_cursor_[w];
+        decisions[member_flat_[pos]] = PortDecision::grant(v);
+        if (++pos == member_offsets_[w + 1]) pos = member_offsets_[w];
+      });
 }
 
 void OutputPortScheduler::schedule_into(
@@ -426,18 +394,17 @@ void OutputPortScheduler::schedule_into(
   WDM_CHECK_MSG(decisions.size() == requests.size(),
                 "one decision slot per request");
   const std::int32_t k = scheme_.k();
-  std::fill(decisions.begin(), decisions.end(), PortDecision{});
 
   // Externally supplied data never aborts the slot: a wrong-shaped mask or a
   // malformed request yields per-request rejections instead of a WDM_CHECK
-  // throw (the kernels below still enforce their contracts).
-  if (!available.empty() &&
-      static_cast<std::int32_t>(available.size()) != k) {
-    for (auto& d : decisions) {
-      d = PortDecision::reject(RejectReason::kBadAvailabilityMask);
-    }
-    return;
-  }
+  // throw (the kernels below still enforce their contracts). Every other
+  // request enters as a capacity rejection that a grant overwrites.
+  const bool bad_mask =
+      !available.empty() && static_cast<std::int32_t>(available.size()) != k;
+  std::fill(decisions.begin(), decisions.end(),
+            PortDecision::reject(bad_mask ? RejectReason::kBadAvailabilityMask
+                                          : RejectReason::kNoChannel));
+  if (bad_mask) return;
   if (health != nullptr) {
     if (!health->channels.empty() &&
         static_cast<std::int32_t>(health->channels.size()) != k) {
@@ -475,14 +442,8 @@ void OutputPortScheduler::schedule_into(
     // deliberately outside the zero-allocation contract.
     assign_scratch_ = assign_channels(rv_scratch_, available, *health, degraded);
   } else if (masked) {
-    const std::size_t words = mask_words(k);
-    std::span<const std::uint64_t> avail_words = avail_bits;
-    if (avail_words.size() != words) {
-      pack_availability(available, k, avail_bits_.data());
-      avail_words = std::span<const std::uint64_t>(avail_bits_.data(), words);
-    }
-    masked_assign_channels_into(rv_scratch_, avail_words, assign_scratch_,
-                                degraded);
+    masked_assign_channels_into(rv_scratch_, available, avail_bits,
+                                assign_scratch_, degraded);
   } else {
     assign_channels_into(rv_scratch_, available, assign_scratch_, degraded);
   }
@@ -505,14 +466,12 @@ void OutputPortScheduler::schedule_batch_into(
                     durations.size() == wavelengths.size(),
                 "one decision slot per request and equal column lengths");
   const std::int32_t k = scheme_.k();
-  std::fill(decisions.begin(), decisions.end(), PortDecision{});
-  if (!available.empty() &&
-      static_cast<std::int32_t>(available.size()) != k) {
-    for (auto& d : decisions) {
-      d = PortDecision::reject(RejectReason::kBadAvailabilityMask);
-    }
-    return;
-  }
+  const bool bad_mask =
+      !available.empty() && static_cast<std::int32_t>(available.size()) != k;
+  std::fill(decisions.begin(), decisions.end(),
+            PortDecision::reject(bad_mask ? RejectReason::kBadAvailabilityMask
+                                          : RejectReason::kNoChannel));
+  if (bad_mask) return;
 
   const bool masked = use_masked_kernels();
   if (masked) mask_zero(nonempty_bits_.data(), k);
@@ -538,14 +497,8 @@ void OutputPortScheduler::schedule_batch_into(
   }
 
   if (masked) {
-    const std::size_t words = mask_words(k);
-    std::span<const std::uint64_t> avail_words = avail_bits;
-    if (avail_words.size() != words) {
-      pack_availability(available, k, avail_bits_.data());
-      avail_words = std::span<const std::uint64_t>(avail_bits_.data(), words);
-    }
-    masked_assign_channels_into(rv_scratch_, avail_words, assign_scratch_,
-                                degraded);
+    masked_assign_channels_into(rv_scratch_, available, avail_bits,
+                                assign_scratch_, degraded);
   } else {
     assign_channels_into(rv_scratch_, available, assign_scratch_, degraded);
   }
@@ -556,10 +509,9 @@ void OutputPortScheduler::schedule_batch_into(
 }
 
 void OutputPortScheduler::reserve_batch(std::size_t max_requests) {
-  // won_flat_ holds at most one entry per channel; member_flat_ one per
-  // surviving request of the batch. The offset/cursor arrays are fixed at
-  // k+1 and reach capacity on the first slot regardless.
-  won_flat_.reserve(static_cast<std::size_t>(scheme_.k()));
+  // member_flat_ holds one entry per surviving request of the batch. The
+  // offset, cursor and win-count arrays are fixed at k+1 and reach capacity
+  // on the first slot regardless.
   member_flat_.reserve(max_requests);
 }
 

@@ -194,7 +194,7 @@ class OutputPortScheduler {
                            std::span<PortDecision> decisions,
                            bool degraded = false);
 
-  /// Pre-sizes the arbitration scratch (CSR winner/member arrays) for slot
+  /// Pre-sizes the arbitration scratch (CSR member array) for slot
   /// batches of up to `max_requests` requests at this port. The scratch
   /// converges on its own — capacity persists across slots — but every new
   /// per-port high-water mark (a slot batch bigger than any before it)
@@ -213,13 +213,17 @@ class OutputPortScheduler {
   bool use_masked_kernels() const noexcept;
   /// Masked-kernel dispatch (nonempty_bits_ must already reflect the
   /// request vector). Only called when use_masked_kernels() is true.
+  /// `avail_words` of any size other than mask_words(k) is replaced by
+  /// `available` packed into avail_bits_.
   void masked_assign_channels_into(const RequestVector& requests,
+                                   std::span<const std::uint8_t> available,
                                    std::span<const std::uint64_t> avail_words,
                                    ChannelAssignment& out, bool degraded);
-  /// Shared arbitration tail of schedule_into / schedule_batch_into:
-  /// counting-sort CSR over assign_scratch_ and the undecided entries, then
-  /// per-wavelength FIFO / round-robin / random winner selection.
-  /// `wavelength_of(idx)` must return the wavelength of request `idx`.
+  /// Shared arbitration tail of schedule_into / schedule_batch_into: groups
+  /// the competing requests (those still at reject(kNoChannel)) by
+  /// wavelength, then hands assign_scratch_'s channels to FIFO /
+  /// round-robin / random winners in one walk. `wavelength_of(idx)` must
+  /// return the wavelength of request `idx`.
   template <typename WaveFn>
   void arbitrate_into(std::size_t n_requests, WaveFn&& wavelength_of,
                       std::span<PortDecision> decisions);
@@ -237,16 +241,14 @@ class OutputPortScheduler {
   RequestVector rv_scratch_;
   ChannelAssignment assign_scratch_;
   BfaScratch bfa_scratch_;
-  // CSR (counting-sort) layout of the arbitration inputs: channels won per
-  // wavelength in increasing channel order, and competing request indices
-  // per wavelength in arrival order. uint32 throughout — per-slot per-port
-  // counts are far below 2^32 and the narrower columns halve the scatter
-  // traffic of the counting sorts.
-  std::vector<std::uint32_t> won_offsets_;     // size k+1
-  std::vector<Channel> won_flat_;
+  // CSR layout of the competing request indices per wavelength, in arrival
+  // order, plus the number of channels each wavelength won. uint32
+  // throughout — per-slot per-port counts are far below 2^32 and the
+  // narrower columns halve the scatter traffic.
   std::vector<std::uint32_t> member_offsets_;  // size k+1
   std::vector<std::uint32_t> member_flat_;
-  std::vector<std::uint32_t> csr_cursor_;      // fill cursors for both sorts
+  std::vector<std::uint32_t> csr_cursor_;      // size k: fill, then grant
+  std::vector<std::uint32_t> won_count_;       // size k+1, [w+1] = won by w
   // Packed bit scratch for the masked kernels (core/wave_mask.hpp layout),
   // sized mask_words(k) each.
   std::vector<std::uint64_t> avail_bits_;

@@ -20,7 +20,14 @@ using Channel = std::int32_t;
 inline constexpr std::int32_t kNone = -1;
 
 /// Mathematical mod: result in [0, k) for any x. k must be positive.
+/// Every kernel call site passes x in (-k, 2k), where one conditional wrap
+/// replaces the 64-bit division; wider x takes the general remainder.
 constexpr std::int32_t mod_k(std::int64_t x, std::int32_t k) noexcept {
+  if (x > -static_cast<std::int64_t>(k) &&
+      x < 2 * static_cast<std::int64_t>(k)) {
+    const std::int64_t m = x < 0 ? x + k : x;
+    return static_cast<std::int32_t>(m >= k ? m - k : m);
+  }
   const auto m = static_cast<std::int32_t>(x % k);
   return m < 0 ? m + k : m;
 }

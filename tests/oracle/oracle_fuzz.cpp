@@ -14,10 +14,12 @@
 //    scalar assignment bit for bit — so the exhaustive small-k enumeration
 //    below is also a proof-by-enumeration that the SIMD path is exact.
 //    A slice of cases additionally runs DistributedScheduler::schedule_slot
-//    end-to-end with malformed requests injected, asserting the rejection
-//    contract: no decision leaves as kUndecided, granted ⇔ kGranted,
-//    malformed inputs are rejected with a malformed reason and never
-//    disturb the matching granted to well-formed requests.
+//    end-to-end under FIFO, round-robin or random arbitration with malformed
+//    requests injected, asserting the rejection contract: no decision leaves
+//    as kUndecided, granted ⇔ kGranted, malformed inputs are rejected with
+//    a malformed reason and never disturb the matching granted to
+//    well-formed requests, and every granted channel is in range, free,
+//    healthy, reachable from the request's wavelength and used once.
 //
 //  * exhaustive (--exhaustive-k K): every scheme kind, every (e, f) split
 //    with e + f + 1 <= k, every request vector with counts in {0, 1, 2},
@@ -330,8 +332,17 @@ bool check_distributed(Stats& stats, util::Rng& rng,
   stats.distributed_slots += 1;
   const auto k = scheme.k();
   const auto n_fibers = static_cast<std::int32_t>(1 + rng.uniform_below(4));
+  // The arbitration mode comes from a stream derived from the scheduler
+  // seed, so the main stream — and with it every existing case — replays
+  // unchanged.
+  const std::uint64_t sched_seed = rng.next();
+  constexpr core::Arbitration kArbitrations[] = {
+      core::Arbitration::kFifo, core::Arbitration::kRoundRobin,
+      core::Arbitration::kRandom};
+  const core::Arbitration arbitration = kArbitrations[
+      util::Rng(util::derive_stream_seed(sched_seed, 0xa4b1)).uniform_below(3)];
   core::DistributedScheduler sched(n_fibers, scheme, core::Algorithm::kAuto,
-                                   core::Arbitration::kFifo, rng.next());
+                                   arbitration, sched_seed);
 
   std::vector<core::SlotRequest> requests;
   const double load = rng.uniform01();
@@ -393,7 +404,8 @@ bool check_distributed(Stats& stats, util::Rng& rng,
     std::cerr << "FAIL: distributed: " << what << " (kind="
               << (scheme.kind() == ConversionKind::kCircular ? "circ" : "noncirc")
               << " k=" << k << " e=" << scheme.e() << " f=" << scheme.f()
-              << " N=" << n_fibers << " reqs=" << requests.size() << ")\n";
+              << " N=" << n_fibers << " reqs=" << requests.size()
+              << " arbitration=" << static_cast<int>(arbitration) << ")\n";
     return false;
   };
   if (decisions.size() != requests.size()) return report("decision count");
@@ -426,6 +438,43 @@ bool check_distributed(Stats& stats, util::Rng& rng,
     } else if (core::is_malformed(d.reason)) {
       return report("well-formed request rejected as malformed");
     }
+  }
+  // Every grant names a channel the request can really use: in range, free
+  // in its fiber's mask, not channel-faulted, reachable from the request's
+  // wavelength (only straight through when the converter is faulted), and
+  // granted to no other request on that fiber.
+  std::vector<std::uint8_t> taken(
+      static_cast<std::size_t>(n_fibers) * static_cast<std::size_t>(k), 0);
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    if (!decisions[i].granted) continue;
+    const auto& r = requests[i];
+    const core::Channel c = decisions[i].channel;
+    const std::string where = "request " + std::to_string(i) +
+                              " granted channel " + std::to_string(c);
+    if (c < 0 || c >= k) return report(where + " out of range");
+    if (r.output_fiber < 0 || r.output_fiber >= n_fibers) {
+      return report(where + " on an invalid output fiber");
+    }
+    const auto fib = static_cast<std::size_t>(r.output_fiber);
+    const auto uc = static_cast<std::size_t>(c);
+    if (with_masks && availability[fib][uc] == 0) {
+      return report(where + " which is occupied");
+    }
+    const core::ChannelHealth ch =
+        with_health ? health[fib].channel(c) : core::ChannelHealth::kHealthy;
+    if (ch == core::ChannelHealth::kChannelFaulted) {
+      return report(where + " which is channel-faulted");
+    }
+    const bool reachable = ch == core::ChannelHealth::kConverterFaulted
+                               ? c == r.wavelength
+                               : scheme.can_convert(r.wavelength, c);
+    if (!reachable) {
+      return report(where + " unreachable from wavelength " +
+                    std::to_string(r.wavelength));
+    }
+    auto& used = taken[fib * static_cast<std::size_t>(k) + uc];
+    if (used != 0) return report(where + " twice on one fiber");
+    used = 1;
   }
   // Per-fiber grants must equal the maximum matching of the well-formed
   // subset on that fiber's (mask, health)-reduced request graph — malformed

@@ -6,6 +6,7 @@
 
 #include "core/break_first_available.hpp"
 #include "core/crossing.hpp"
+#include "core/wave_mask.hpp"
 #include "test_support.hpp"
 
 namespace wdm {
@@ -115,6 +116,122 @@ TEST(BreakFirstAvailable, DeterministicAcrossCalls) {
   const auto a = core::break_first_available(rv, scheme);
   const auto b = core::break_first_available(rv, scheme);
   EXPECT_EQ(a.source, b.source);
+}
+
+// --- Bound-stopped sweep: exactly the first-of-maximum winner --------------
+
+/// Table 3 spelled out: every single-break candidate at w_i's free adjacent
+/// channels in minus-side order, keeping the first of maximum size.
+core::ChannelAssignment first_of_maximum(
+    const RequestVector& rv, const ConversionScheme& scheme,
+    const std::vector<std::uint8_t>& mask) {
+  const auto free = [&](core::Channel u) {
+    return mask.empty() || mask[static_cast<std::size_t>(u)] != 0;
+  };
+  core::ChannelAssignment best(scheme.k());
+  for (core::Wavelength w = 0; w < scheme.k(); ++w) {
+    if (rv.count(w) == 0) continue;
+    bool any = false;
+    for (const auto u : scheme.adjacency_list(w)) {
+      if (!free(u)) continue;
+      const auto cand = core::bfa_single_break(rv, scheme, mask, w, u);
+      if (!any || cand.granted > best.granted) best = cand;
+      any = true;
+    }
+    if (any) break;  // w is the breaking wavelength
+  }
+  return best;
+}
+
+TEST(BfaSweep, BoundStoppedSweepIsFirstOfMaximum) {
+  // Random counts and availability on every e/f split with d < k for
+  // k = 2..20, then on random splits up to k = 70: the byte and masked
+  // sweeps (pooled for some instances) must return the oracle's winner
+  // exactly, and the stop bound must never undercut the Hopcroft–Karp
+  // maximum. Scratch and output persist across instances and shapes, as in
+  // a port scheduler.
+  util::Rng rng(20031);
+  util::ThreadPool pool(2);
+  core::BfaScratch byte_scratch, mask_scratch;
+  core::ChannelAssignment byte_out(1), mask_out(1);
+  int instances = 0;
+  const auto check = [&](std::int32_t k, std::int32_t e, std::int32_t f) {
+    const auto scheme = ConversionScheme::circular(k, e, f);
+    RequestVector rv(k);
+    const double load = rng.uniform01();
+    for (core::Wavelength w = 0; w < k; ++w) {
+      if (rng.bernoulli(load)) {
+        rv.add(w, static_cast<std::int32_t>(1 + rng.uniform_below(3)));
+      }
+    }
+    std::vector<std::uint8_t> mask;
+    if (!rng.bernoulli(0.1)) mask = test::random_mask(rng, k, rng.uniform01());
+    const auto expected = first_of_maximum(rv, scheme, mask);
+    util::ThreadPool* p = instances++ % 8 == 0 ? &pool : nullptr;
+
+    core::break_first_available_into(rv, scheme, mask, p, byte_scratch,
+                                     byte_out);
+    const std::vector<std::uint8_t> full(static_cast<std::size_t>(k), 1);
+    std::vector<std::uint64_t> avail_words(core::mask_words(k), 0);
+    std::vector<std::uint64_t> nonempty(core::mask_words(k), 0);
+    core::pack_availability(mask.empty() ? full : mask, k, avail_words.data());
+    for (core::Wavelength w = 0; w < k; ++w) {
+      if (rv.count(w) > 0) core::mask_set(nonempty.data(), w);
+    }
+    core::break_first_available_masked_into(rv, scheme, avail_words, nonempty,
+                                            p, mask_scratch, mask_out);
+    ASSERT_EQ(byte_out.granted, expected.granted);
+    ASSERT_EQ(byte_out.source, expected.source);
+    ASSERT_EQ(mask_out.granted, expected.granted);
+    ASSERT_EQ(mask_out.source, expected.source);
+
+    // The bound by its definition: requests with a free adjacent channel,
+    // free channels adjacent to a pending wavelength.
+    std::int32_t live_requests = 0;
+    std::int32_t live_channels = 0;
+    for (core::Wavelength w = 0; w < k; ++w) {
+      for (const auto u : scheme.adjacency_list(w)) {
+        if (mask.empty() || mask[static_cast<std::size_t>(u)] != 0) {
+          live_requests += rv.count(w);
+          break;
+        }
+      }
+    }
+    for (core::Channel u = 0; u < k; ++u) {
+      if (!mask.empty() && mask[static_cast<std::size_t>(u)] == 0) continue;
+      for (core::Wavelength w = 0; w < k; ++w) {
+        if (rv.count(w) > 0 && scheme.can_convert(w, u)) {
+          live_channels += 1;
+          break;
+        }
+      }
+    }
+    const auto bound = core::adjacent_vertex_bound(rv, scheme, mask);
+    ASSERT_EQ(bound, std::min(live_requests, live_channels));
+    ASSERT_GE(bound, test::oracle_max_matching(scheme, rv, mask));
+  };
+  for (std::int32_t k = 2; k <= 20; ++k) {
+    for (std::int32_t e = 0; e <= k - 2; ++e) {
+      for (std::int32_t f = 0; e + f + 1 < k; ++f) {
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " e=" << e << " f=" << f);
+        check(k, e, f);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  for (int it = 0; it < 6000; ++it) {
+    const auto k = static_cast<std::int32_t>(2 + rng.uniform_below(69));
+    const auto d = static_cast<std::int32_t>(
+        1 + rng.uniform_below(static_cast<std::uint64_t>(k - 1)));
+    const auto e = static_cast<std::int32_t>(
+        rng.uniform_below(static_cast<std::uint64_t>(d)));
+    SCOPED_TRACE(testing::Message()
+                 << "k=" << k << " e=" << e << " f=" << d - 1 - e);
+    check(k, e, d - 1 - e);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(instances, 1330 + 6000);  // sum over k = 2..20 of k(k-1)/2
 }
 
 // --- Theorem 2 property sweep: BFA is maximum -------------------------------

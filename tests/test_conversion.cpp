@@ -2,7 +2,11 @@
 // degree arithmetic, and the conversion-graph export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/conversion.hpp"
+#include "core/wavelength.hpp"
 
 namespace wdm {
 namespace {
@@ -142,6 +146,35 @@ TEST(ModularHelpers, ModAndForwardDistance) {
   EXPECT_EQ(core::fwd(1, 4, 6), 3);
   EXPECT_EQ(core::fwd(2, 2, 6), 0);
   EXPECT_EQ(core::fwd(0, 5, 6), 5);
+}
+
+TEST(Wavelength, ModKMatchesRemainder) {
+  // The conditional-wrap fast range (-k, 2k), its edges and the general
+  // remainder beyond it, against the plain remainder definition.
+  const auto reference = [](std::int64_t x, std::int32_t k) {
+    const std::int64_t m = x % k;
+    return static_cast<std::int32_t>(m < 0 ? m + k : m);
+  };
+  for (std::int32_t k = 1; k <= 130; ++k) {
+    for (std::int64_t x = -3 * static_cast<std::int64_t>(k);
+         x <= 3 * static_cast<std::int64_t>(k); ++x) {
+      ASSERT_EQ(core::mod_k(x, k), reference(x, k)) << "x=" << x << " k=" << k;
+    }
+    using Limits = std::numeric_limits<std::int64_t>;
+    for (const std::int64_t x : {Limits::min(), Limits::min() + 1,
+                                 Limits::max(), Limits::max() - 1}) {
+      ASSERT_EQ(core::mod_k(x, k), reference(x, k)) << "x=" << x << " k=" << k;
+    }
+  }
+  // k > 2^30: the fast range reaches past INT32_MAX, so the wrap must not
+  // narrow before it subtracts k.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  for (const std::int64_t x :
+       {std::int64_t{1} << 31, (std::int64_t{1} << 32) - 3,
+        std::int64_t{kMax}, -std::int64_t{kMax} + 1, std::int64_t{-1}}) {
+    ASSERT_EQ(core::mod_k(x, kMax), reference(x, kMax)) << "x=" << x;
+    ASSERT_EQ(core::mod_k(x, kMax - 1), reference(x, kMax - 1)) << "x=" << x;
+  }
 }
 
 }  // namespace

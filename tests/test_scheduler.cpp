@@ -2,10 +2,14 @@
 // fairness of the arbitration stage.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
+#include "core/health.hpp"
 #include "core/scheduler.hpp"
+#include "core/simd.hpp"
+#include "core/wave_mask.hpp"
 #include "test_support.hpp"
 
 namespace wdm {
@@ -15,6 +19,7 @@ using core::Algorithm;
 using core::Arbitration;
 using core::ConversionScheme;
 using core::OutputPortScheduler;
+using core::PortDecision;
 using core::Request;
 using core::RequestVector;
 
@@ -153,6 +158,219 @@ TEST(Scheduler, EmptyScheduleCall) {
   OutputPortScheduler sched(ConversionScheme::circular(6, 1, 1));
   const auto decisions = sched.schedule({});
   EXPECT_TRUE(decisions.empty());
+}
+
+// --- Golden decision pin ----------------------------------------------------
+//
+// FNV-1a hashes of every PortDecision field over a fixed-seed stream of
+// random port instances: occupied channels, malformed requests, wrong-shaped
+// masks, fault states, degraded slots and the packed-bit fast path. One
+// scheduler persists across the stream, so round-robin cursors and the
+// random-arbitration RNG carry from instance to instance. The hashes were
+// captured from the per-wavelength CSR arbitration that the single-pass walk
+// replaced, and are pinned under both kernel tiers: any change to a grant, a
+// channel, a rejection reason or the arbitration draw order moves them.
+
+class DecisionHash {
+ public:
+  template <typename T>
+  void add(T v) {
+    auto bits = static_cast<std::uint64_t>(v);
+    for (std::size_t b = 0; b < sizeof(T); ++b, bits >>= 8) {
+      h_ = (h_ ^ (bits & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+constexpr int kGoldenInstances = 200;
+constexpr std::array<Algorithm, 3> kGoldenAlgorithms{
+    Algorithm::kFirstAvailable, Algorithm::kBreakFirstAvailable,
+    Algorithm::kApproxBfa};
+constexpr std::array<std::int32_t, 3> kGoldenKs{5, 16, 70};
+
+/// d = 3 at k = 5, an asymmetric d = 4 at k = 16, d = 7 at k = 70.
+ConversionScheme golden_scheme(Algorithm algorithm, std::int32_t k) {
+  const std::int32_t e = k == 5 ? 1 : k == 16 ? 2 : 3;
+  const std::int32_t f = k == 5 ? 1 : k == 16 ? 1 : 3;
+  return algorithm == Algorithm::kFirstAvailable
+             ? ConversionScheme::non_circular(k, e, f)
+             : ConversionScheme::circular(k, e, f);
+}
+
+std::uint64_t golden_hash(Arbitration arbitration, Algorithm algorithm,
+                          std::int32_t k, bool batch) {
+  OutputPortScheduler sched(
+      golden_scheme(algorithm, k), algorithm, arbitration,
+      std::uint64_t{0x5eed} + static_cast<std::uint64_t>(k));
+  util::Rng rng(7000 + static_cast<std::uint64_t>(k));
+  const auto below = [&rng](std::int64_t n) {
+    return static_cast<std::int32_t>(
+        rng.uniform_below(static_cast<std::uint64_t>(n)));
+  };
+  DecisionHash h;
+  std::vector<Request> requests;
+  std::vector<std::int32_t> wavelengths, input_fibers, durations;
+  std::vector<std::uint8_t> avail;
+  std::vector<std::uint64_t> bits(core::mask_words(k), 0);
+  std::vector<PortDecision> decisions;
+  for (int inst = 0; inst < kGoldenInstances; ++inst) {
+    const auto n = static_cast<std::size_t>(below(3 * k + 1));
+    requests.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      Request r{below(8), below(k), i, 1 + below(3)};
+      if (rng.bernoulli(0.05)) {
+        switch (below(4)) {
+          case 0: r.wavelength = k + below(3); break;
+          case 1: r.wavelength = -1; break;
+          case 2: r.input_fiber = -1; break;
+          default: r.duration = 0; break;
+        }
+      }
+      requests.push_back(r);
+    }
+    const double shape = rng.uniform01();
+    if (shape < 0.2) {
+      avail.clear();  // all free
+    } else if (shape < 0.23) {
+      avail.assign(static_cast<std::size_t>(k + 1), 1);  // wrong shape
+    } else {
+      avail = test::random_mask(rng, k, rng.uniform01());
+    }
+    const bool pack = avail.size() == static_cast<std::size_t>(k) &&
+                      rng.bernoulli(0.5);
+    if (pack) core::pack_availability(avail, k, bits.data());
+    const std::span<const std::uint64_t> avail_bits =
+        pack ? std::span<const std::uint64_t>(bits)
+             : std::span<const std::uint64_t>{};
+    const bool degraded = rng.bernoulli(0.2);
+    decisions.assign(n, PortDecision{});
+
+    if (batch) {
+      wavelengths.clear();
+      input_fibers.clear();
+      durations.clear();
+      for (const auto& r : requests) {
+        wavelengths.push_back(r.wavelength);
+        input_fibers.push_back(r.input_fiber);
+        durations.push_back(r.duration);
+      }
+      sched.schedule_batch_into(wavelengths, input_fibers, durations, avail,
+                                avail_bits, decisions, degraded);
+    } else {
+      core::HealthMask health;
+      const bool with_health = rng.bernoulli(0.5);
+      if (with_health) {
+        health.fiber_faulted = rng.bernoulli(0.05);
+        const double hs = rng.uniform01();
+        if (hs < 0.03) {
+          health.channels.assign(static_cast<std::size_t>(k + 2),
+                                 core::ChannelHealth::kHealthy);
+        } else if (hs >= 0.2) {
+          health.channels.resize(static_cast<std::size_t>(k));
+          for (auto& c : health.channels) {
+            const double u = rng.uniform01();
+            c = u < 0.1   ? core::ChannelHealth::kConverterFaulted
+                : u < 0.2 ? core::ChannelHealth::kChannelFaulted
+                          : core::ChannelHealth::kHealthy;
+          }
+        }
+      }
+      sched.schedule_into(requests, avail, with_health ? &health : nullptr,
+                          decisions, degraded, avail_bits);
+    }
+    h.add(static_cast<std::uint64_t>(n));
+    for (const auto& d : decisions) {
+      h.add(d.granted);
+      h.add(d.channel);
+      h.add(static_cast<std::uint8_t>(d.reason));
+    }
+  }
+  return h.value();
+}
+
+/// Every test leaves the process-global kernel toggle the way it found it.
+class ArbitrationGolden : public ::testing::Test {
+ protected:
+  void TearDown() override { core::set_simd_mode(core::SimdMode::kAuto); }
+
+  /// `expected` is indexed [algorithm][k][path], path 0 = schedule_into,
+  /// 1 = schedule_batch_into, in kGoldenAlgorithms / kGoldenKs order.
+  static void expect_golden(Arbitration arbitration,
+                            const std::array<std::uint64_t, 18>& expected) {
+    for (const auto mode : {core::SimdMode::kScalar, core::SimdMode::kMask}) {
+      core::set_simd_mode(mode);
+      std::size_t idx = 0;
+      for (const Algorithm algorithm : kGoldenAlgorithms) {
+        for (const std::int32_t k : kGoldenKs) {
+          for (const bool batch : {false, true}) {
+            const std::uint64_t got =
+                golden_hash(arbitration, algorithm, k, batch);
+            EXPECT_EQ(got, expected[idx])
+                << "algorithm " << static_cast<int>(algorithm) << " k=" << k
+                << (batch ? " schedule_batch_into" : " schedule_into")
+                << (mode == core::SimdMode::kScalar ? " scalar" : " mask")
+                << " hash 0x" << std::hex << got;
+            ++idx;
+          }
+        }
+      }
+    }
+  }
+};
+
+TEST_F(ArbitrationGolden, Fifo) {
+  expect_golden(Arbitration::kFifo, {{
+      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      0x95e523fef7bfe66bULL, 0x11c27373fca47e50ULL,
+      0x2dfbb2376d7091c3ULL, 0x519063453c0da3a2ULL,
+      0x40ba5889ce8d3871ULL, 0x97f9e5c25b2a8e86ULL,
+      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xeee096b3b8b104efULL, 0x90a4ce8f5baeac28ULL,
+      0x89a32cbc735c4e1aULL, 0x243d3d6408b45e85ULL,
+      0x4b217d6c4704adafULL, 0xf939098daded227ULL,
+      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xe4288fe102a2377ULL, 0x94aa00856492f4aULL,
+      0xbec630da7b5c9aaeULL, 0xbc6e4fb516f50918ULL,
+      0x49b9e75c485beb42ULL, 0x2135fcd192adac4bULL
+  }});
+}
+
+TEST_F(ArbitrationGolden, RoundRobin) {
+  expect_golden(Arbitration::kRoundRobin, {{
+      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xb4f6fe4cea21189fULL, 0x7f86b453e0dd19a4ULL,
+      0x1e207e345ace7f47ULL, 0x8874d631a1b8f846ULL,
+      0xc242bdc44a246a05ULL, 0xbd54c223d0c617aULL,
+      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0x815c6212ec16d617ULL, 0x5b1c9c679788f82cULL,
+      0xe2acbf7fe3fec1b6ULL, 0x57bee63bb7034989ULL,
+      0x2eb25b7131a285bbULL, 0x3eeeb0b2de9cd63fULL,
+      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0x316768981214cce7ULL, 0x4ca945d4249fa872ULL,
+      0xaf6f74c8b6646142ULL, 0xc9b43e468cc734b4ULL,
+      0xaf68893d9d3fc46aULL, 0xb51f5d02964490bfULL
+  }});
+}
+
+TEST_F(ArbitrationGolden, Random) {
+  expect_golden(Arbitration::kRandom, {{
+      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xd8f5434cd53adddfULL, 0x18fdb09559c863a0ULL,
+      0x7bb355a5b1171483ULL, 0x1a0360e52b05413eULL,
+      0x61242dfba9679ae1ULL, 0xc5d37db1cefad30aULL,
+      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xbb9dc1e8bb49838bULL, 0xe0ed93af79be02b4ULL,
+      0x4cdcc71a3ba592eULL, 0x47c0391bdf82a595ULL,
+      0xf06e3448a472d2afULL, 0x99d6e15f25efab7ULL,
+      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      0xbaf6f2ed06309ec3ULL, 0x4da6b4d575435586ULL,
+      0xb0a89a1e841da2eaULL, 0xfabf3489ec220ac8ULL,
+      0xadb6be2372c2da8eULL, 0x604cb8c3e851a19fULL
+  }});
 }
 
 }  // namespace
