@@ -1,11 +1,11 @@
 // Fault-path overhead — scheduler cost with health masks off vs on.
 //
 // The health plumbing must be pay-for-what-you-use: a null health pointer
-// is the PR-1 hot path untouched; an all-healthy mask must collapse to it
-// after one O(k) scan; degraded masks pay the apply_health reduction. This
-// harness measures all of them on the same request stream and records the
-// ratios in BENCH_faults.json so the perf trajectory of the fault machinery
-// is tracked from its first PR.
+// skips it; an all-healthy mask collapses to the null case after one O(k)
+// scan; a degraded fiber pays the word-level fault fold (core/health.hpp)
+// and then runs the same word kernel as a healthy one. This harness
+// measures all three on the same request stream and records the ratios in
+// BENCH_faults.json, so the cost of the fault machinery is tracked.
 #include <cstdio>
 #include <iostream>
 #include <vector>

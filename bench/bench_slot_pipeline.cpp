@@ -15,15 +15,10 @@
 // untraced column at slot granularity, and the untraced column is the one
 // bench_report.py regresses against.
 //
-// The masked (SIMD) kernels are benchmarked against their scalar reference
-// in the same process: every config runs once under core::SimdMode::kMask
-// (the default path, reported as slots/s) and once under kScalar, and the
-// ratio lands in the table as the SIMD speedup. A step_batch window of 8
-// slots is measured too (the amortized-validation variant).
+// A step_batch window of 8 slots is measured too (the amortized-validation
+// variant).
 //
-// WDM_BENCH_SMOKE=1 shrinks the matrix and slot counts for CI smoke runs;
-// WDM_SIMD=off (see core/simd.hpp) turns the default path scalar, which the
-// CI bench-smoke matrix uses to keep the scalar kernels exercised.
+// WDM_BENCH_SMOKE=1 shrinks the matrix and slot counts for CI smoke runs.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -302,9 +297,8 @@ int main(int argc, char** argv) {
   }
   const double load = 0.7;
 
-  util::Table table({"N", "k", "scheme", "slots/s", "scalar slots/s", "simd x",
-                     "batch slots/s", "sched slots/s", "allocs/slot",
-                     "traced slots/s"});
+  util::Table table({"N", "k", "scheme", "slots/s", "batch slots/s",
+                     "sched slots/s", "allocs/slot", "traced slots/s"});
   bench::Json configs = bench::Json::array();
   std::uint64_t sink = 0;
   constexpr std::size_t kBatchWindow = 8;
@@ -314,8 +308,7 @@ int main(int argc, char** argv) {
       const std::size_t n_slots = slots_for(n, k, smoke);
       const auto slots = make_slots(n, k, n_slots, load);
       for (const bool circular : {true, false}) {
-        // Default path (masked kernels unless WDM_SIMD says otherwise):
-        // this is the column bench_report.py regresses against.
+        // The full pipeline: the column bench_report.py regresses against.
         const Measurement full = run_interconnect(n, k, circular, slots);
         const Measurement sched = run_scheduler_path(n, k, circular, slots);
         const Measurement batch =
@@ -324,22 +317,10 @@ int main(int argc, char** argv) {
         const Measurement traced = run_interconnect(
             n, k, circular, slots,
             *detail == obs::TraceDetail::kOff ? nullptr : &recorder);
-        // Scalar reference, same process, same slot stream: the speedup
-        // column is the masked kernels' whole justification.
-        core::set_simd_mode(core::SimdMode::kScalar);
-        const Measurement scalar_full = run_interconnect(n, k, circular, slots);
-        const Measurement scalar_sched = run_scheduler_path(n, k, circular, slots);
-        core::set_simd_mode(core::SimdMode::kAuto);
-        const double speedup = scalar_full.slots_per_s > 0.0
-                                   ? full.slots_per_s / scalar_full.slots_per_s
-                                   : 0.0;
-        sink += full.grants + sched.grants + batch.grants + traced.grants +
-                scalar_full.grants + scalar_sched.grants;
+        sink += full.grants + sched.grants + batch.grants + traced.grants;
         table.add_row({util::cell(n), util::cell(k),
                        circular ? "circular" : "non-circular",
                        util::cell(static_cast<std::int64_t>(full.slots_per_s)),
-                       util::cell(static_cast<std::int64_t>(scalar_full.slots_per_s)),
-                       util::cell(speedup, 2),
                        util::cell(static_cast<std::int64_t>(batch.slots_per_s)),
                        util::cell(static_cast<std::int64_t>(sched.slots_per_s)),
                        util::cell(full.allocs_per_slot, 4),
@@ -352,14 +333,11 @@ int main(int argc, char** argv) {
             .set("slots_per_s", full.slots_per_s)
             .set("allocs_per_slot", full.allocs_per_slot)
             .set("bytes_per_slot", full.bytes_per_slot)
-            .set("scalar_slots_per_s", scalar_full.slots_per_s)
-            .set("simd_speedup", speedup)
             .set("batch_slots_per_s", batch.slots_per_s)
             .set("batch_allocs_per_slot", batch.allocs_per_slot)
             .set("scheduler_slots_per_s", sched.slots_per_s)
             .set("scheduler_allocs_per_slot", sched.allocs_per_slot)
             .set("scheduler_bytes_per_slot", sched.bytes_per_slot)
-            .set("scalar_scheduler_slots_per_s", scalar_sched.slots_per_s)
             .set("traced_slots_per_s", traced.slots_per_s)
             .set("traced_allocs_per_slot", traced.allocs_per_slot);
         configs.push(std::move(row));

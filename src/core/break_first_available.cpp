@@ -96,8 +96,8 @@ std::int32_t vertex_bound(const RequestVector& requests,
 }
 
 /// The exhaustive Table-3 sweep over w_i's free adjacent channels, shared by
-/// the byte and masked tiers: run(u, out) schedules the candidate breaking
-/// at channel u. It stops once the best candidate so far reaches
+/// the byte spec and the word kernel: run(u, out) schedules the candidate
+/// breaking at channel u. It stops once the best candidate so far reaches
 /// min(requests, free channels), or else adjacent_vertex_bound; the first
 /// candidate to reach an upper bound on the maximum is the first of maximum
 /// size, so the winner is unchanged.
@@ -179,7 +179,7 @@ Channel pick_approx_break(const ConversionScheme& scheme, Wavelength w_i,
   return best_u;
 }
 
-/// bfa_single_break_into minus the input validation — the exhaustive sweep
+/// bfa_single_break minus the input validation — the exhaustive sweep
 /// validates once and runs this d times, so the per-candidate cost stays the
 /// Table-3 O(k) with no repeated shape checks.
 void single_break_unchecked(const RequestVector& requests,
@@ -250,39 +250,30 @@ void single_break_unchecked(const RequestVector& requests,
 
 }  // namespace
 
-void bfa_single_break_into(const RequestVector& requests,
-                           const ConversionScheme& scheme,
-                           std::span<const std::uint8_t> available,
-                           Wavelength w_i, Channel u, ChannelAssignment& out) {
+ChannelAssignment bfa_single_break(const RequestVector& requests,
+                                   const ConversionScheme& scheme,
+                                   std::span<const std::uint8_t> available,
+                                   Wavelength w_i, Channel u) {
   validate_inputs(requests, scheme, available);
   WDM_CHECK_MSG(requests.count(w_i) > 0,
                 "breaking wavelength must have a pending request");
   WDM_CHECK_MSG(scheme.can_convert(w_i, u), "breaking edge must exist");
   WDM_CHECK_MSG(channel_free(available, u), "breaking channel must be free");
-  single_break_unchecked(requests, scheme, available, w_i, u, out);
-}
-
-ChannelAssignment bfa_single_break(const RequestVector& requests,
-                                   const ConversionScheme& scheme,
-                                   std::span<const std::uint8_t> available,
-                                   Wavelength w_i, Channel u) {
   ChannelAssignment out(scheme.k());
-  bfa_single_break_into(requests, scheme, available, w_i, u, out);
+  single_break_unchecked(requests, scheme, available, w_i, u, out);
   return out;
 }
 
-void break_first_available_into(const RequestVector& requests,
-                                const ConversionScheme& scheme,
-                                std::span<const std::uint8_t> available,
-                                util::ThreadPool* pool, BfaScratch& scratch,
-                                ChannelAssignment& out) {
+ChannelAssignment break_first_available(const RequestVector& requests,
+                                        const ConversionScheme& scheme,
+                                        std::span<const std::uint8_t> available,
+                                        util::ThreadPool* pool) {
   validate_inputs(requests, scheme, available);
+  ChannelAssignment out(scheme.k());
   const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
-  if (w_i == kNone) {
-    out.reset(scheme.k());
-    return;
-  }
+  if (w_i == kNone) return out;
 
+  BfaScratch scratch;
   sweep_breaks(
       requests, scheme, w_i,
       [available](Channel v) { return channel_free(available, v); },
@@ -290,6 +281,7 @@ void break_first_available_into(const RequestVector& requests,
         single_break_unchecked(requests, scheme, available, w_i, u, cand);
       },
       pool, scratch, out);
+  return out;
 }
 
 std::int32_t adjacent_vertex_bound(const RequestVector& requests,
@@ -301,40 +293,13 @@ std::int32_t adjacent_vertex_bound(const RequestVector& requests,
   });
 }
 
-ChannelAssignment break_first_available(const RequestVector& requests,
-                                        const ConversionScheme& scheme,
-                                        std::span<const std::uint8_t> available,
-                                        util::ThreadPool* pool) {
-  BfaScratch scratch;
-  ChannelAssignment out(scheme.k());
-  break_first_available_into(requests, scheme, available, pool, scratch, out);
-  return out;
-}
-
-Channel approx_break_first_available_into(
-    const RequestVector& requests, const ConversionScheme& scheme,
-    std::span<const std::uint8_t> available, ChannelAssignment& out) {
-  validate_inputs(requests, scheme, available);
-  const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
-  if (w_i == kNone) {
-    out.reset(scheme.k());
-    return kNone;
-  }
-
-  const Channel u = pick_approx_break(scheme, w_i, [available](Channel v) {
-    return channel_free(available, v);
-  });
-  bfa_single_break_into(requests, scheme, available, w_i, u, out);
-  return u;
-}
-
 namespace {
 
 /// pick_breaking_wavelength over the packed masks: the nonempty mask jumps
 /// straight to pending wavelengths, and the free-adjacent-channel test is a
 /// word scan over the circular adjacency run. Returns the same wavelength
 /// as the byte-row scan (existence of a free adjacent channel is all the
-/// scalar inner loop establishes).
+/// byte inner loop establishes).
 Wavelength pick_breaking_wavelength_masked(const ConversionScheme& scheme,
                                            const std::uint64_t* avail,
                                            const std::uint64_t* nonempty) {
@@ -363,7 +328,7 @@ void validate_masked_inputs(const RequestVector& requests,
 /// jumps instead of two walks: the channel loop visits free channels via
 /// find_next_set on the availability row (in the same rotated order vp =
 /// 0..k-2, split at the wrap), and the left pointer hops between nonempty
-/// wavelengths via find_next_set on the nonempty mask (the scalar advance()
+/// wavelengths via find_next_set on the nonempty mask (the byte advance()
 /// steps through empty wavelengths without ever exiting its while loop, so
 /// landing directly on the next pending wavelength reaches the identical
 /// state). All modular quantities stay division-free closed forms.
@@ -448,7 +413,7 @@ void single_break_masked(const RequestVector& requests,
 
   // Rotated position vp of channel v is v-u-1 (mod k): segment [u+1, k)
   // first, then the wrapped segment [0, u). Position k-1 is u itself — the
-  // breaking channel, never visited, exactly like the scalar vp <= k-2 loop.
+  // breaking channel, never visited, exactly like the byte vp <= k-2 loop.
   for (Channel v = find_next_set(avail, k, u + 1); v < k;
        v = find_next_set(avail, k, v + 1)) {
     if (!visit(v, v - u - 1)) return;
@@ -461,21 +426,6 @@ void single_break_masked(const RequestVector& requests,
 }
 
 }  // namespace
-
-void bfa_single_break_masked_into(
-    const RequestVector& requests, const ConversionScheme& scheme,
-    std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, Wavelength w_i, Channel u,
-    ChannelAssignment& out) {
-  validate_masked_inputs(requests, scheme, avail_words, nonempty_words);
-  WDM_CHECK_MSG(requests.count(w_i) > 0,
-                "breaking wavelength must have a pending request");
-  WDM_CHECK_MSG(scheme.can_convert(w_i, u), "breaking edge must exist");
-  WDM_CHECK_MSG(mask_test(avail_words.data(), u),
-                "breaking channel must be free");
-  single_break_masked(requests, scheme, avail_words.data(),
-                      nonempty_words.data(), w_i, u, out);
-}
 
 void break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
@@ -523,12 +473,17 @@ Channel approx_break_first_available_masked_into(
 ApproxBfaResult approx_break_first_available(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint8_t> available) {
+  validate_inputs(requests, scheme, available);
   ApproxBfaResult out{ChannelAssignment(scheme.k()), kNone, 0, 0};
-  out.break_channel = approx_break_first_available_into(
-      requests, scheme, available, out.assignment);
-  if (out.break_channel == kNone) return out;
   const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
-  out.delta = delta_of(scheme, w_i, out.break_channel);
+  if (w_i == kNone) return out;
+
+  const Channel u = pick_approx_break(scheme, w_i, [available](Channel v) {
+    return channel_free(available, v);
+  });
+  single_break_unchecked(requests, scheme, available, w_i, u, out.assignment);
+  out.break_channel = u;
+  out.delta = delta_of(scheme, w_i, u);
   out.gap_bound = breaking_gap_bound(scheme.degree(), out.delta);
   return out;
 }

@@ -39,20 +39,12 @@ struct BfaScratch {
 /// is non-null the d candidate breaks run on it in parallel. The result is
 /// the first candidate (minus-side order) of maximum size; the sweep stops
 /// at the first candidate that reaches adjacent_vertex_bound, which is that
-/// candidate.
+/// candidate. The executable specification of Table 3 (byte masks, one step
+/// per channel); the word kernels below are pinned against it.
 ChannelAssignment break_first_available(const RequestVector& requests,
                                         const ConversionScheme& scheme,
                                         std::span<const std::uint8_t> available = {},
                                         util::ThreadPool* pool = nullptr);
-
-/// As break_first_available, with caller-owned scratch: candidate buffers
-/// live in `scratch` and the winning assignment is written into `out`.
-/// Allocation-free once the scratch is warm.
-void break_first_available_into(const RequestVector& requests,
-                                const ConversionScheme& scheme,
-                                std::span<const std::uint8_t> available,
-                                util::ThreadPool* pool, BfaScratch& scratch,
-                                ChannelAssignment& out);
 
 /// Upper bound on any matching of the instance: the smaller of the number
 /// of requests with a free adjacent channel and the number of free channels
@@ -71,12 +63,6 @@ ChannelAssignment bfa_single_break(const RequestVector& requests,
                                    std::span<const std::uint8_t> available,
                                    Wavelength w_i, Channel u);
 
-/// As bfa_single_break, writing into caller-owned scratch.
-void bfa_single_break_into(const RequestVector& requests,
-                           const ConversionScheme& scheme,
-                           std::span<const std::uint8_t> available,
-                           Wavelength w_i, Channel u, ChannelAssignment& out);
-
 struct ApproxBfaResult {
   ChannelAssignment assignment;
   Channel break_channel = kNone;   ///< chosen u (kNone if nothing to schedule)
@@ -90,44 +76,30 @@ ApproxBfaResult approx_break_first_available(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint8_t> available = {});
 
-/// As approx_break_first_available, writing the assignment into caller-owned
-/// scratch; returns the chosen break channel (kNone when nothing schedules).
-Channel approx_break_first_available_into(
-    const RequestVector& requests, const ConversionScheme& scheme,
-    std::span<const std::uint8_t> available, ChannelAssignment& out);
-
-// --- Masked kernels (docs/ALGORITHMS.md §9) -------------------------------
+// --- Word kernels (docs/ALGORITHMS.md §9) ---------------------------------
 //
-// Word-at-a-time variants of the sweeps above, decision-for-decision
-// identical to the scalar reference: `avail_words` is the packed
-// availability row (bit = 1 free, mask_words(k) words, tail zero — see
-// core/wave_mask.hpp) and `nonempty_words` the packed nonempty-wavelength
-// mask (bit w set iff requests.count(w) > 0). The inner sweeps jump with
-// countr_zero over exactly the iterations the scalar loops no-op on —
-// occupied channels and empty wavelengths — so every grant lands on the
-// same (channel, wavelength) pair in the same order, and the assignments
-// (hence arbitration, hence decisions) are bit-identical. The fuzz oracle
-// and the exhaustive k<=6 enumeration pin this.
+// The production forms of the sweeps above, decision-for-decision identical
+// to them and writing into caller-owned scratch (allocation-free once warm):
+// `avail_words` is the packed availability row (bit = 1 free, mask_words(k)
+// words, tail zero — see core/wave_mask.hpp) and `nonempty_words` the packed
+// nonempty-wavelength mask (bit w set iff requests.count(w) > 0). The inner
+// sweeps jump with countr_zero over exactly the iterations the byte loops
+// no-op on — occupied channels and empty wavelengths — so every grant lands
+// on the same (channel, wavelength) pair in the same order, and the
+// assignments (hence arbitration, hence decisions) are bit-identical. The
+// fuzz oracle and the exhaustive k<=6 enumeration pin this.
 
-/// Masked exhaustive sweep (Table 3). Same winner rule as the scalar
-/// variant: first candidate in minus-side order of maximum granted.
+/// Exhaustive sweep (Table 3). Same winner rule as break_first_available:
+/// first candidate in minus-side order of maximum granted.
 void break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
     std::span<const std::uint64_t> nonempty_words, util::ThreadPool* pool,
     BfaScratch& scratch, ChannelAssignment& out);
 
-/// Masked single-break (one Table-3 candidate), identical to
-/// bfa_single_break_into. Requires requests.count(w_i) > 0 and u adjacent
-/// and free.
-void bfa_single_break_masked_into(
-    const RequestVector& requests, const ConversionScheme& scheme,
-    std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, Wavelength w_i, Channel u,
-    ChannelAssignment& out);
-
-/// Masked Section IV.C approximation, identical break choice and schedule
-/// to approx_break_first_available_into.
+/// Section IV.C approximation, identical break choice and schedule to
+/// approx_break_first_available; returns the chosen break channel (kNone
+/// when nothing schedules).
 Channel approx_break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,

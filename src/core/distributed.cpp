@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -53,14 +52,6 @@ void DistributedScheduler::schedule_slot_impl(
     return;
   }
 
-  // SoA mode (docs/ALGORITHMS.md §9): scatter 4-byte columns instead of
-  // 24-byte Request structs and feed each port the column-oriented
-  // schedule_batch_into. Decisions are identical either way (the batch path
-  // validates the same fields in the same order and runs the same kernels);
-  // faulted slots take the AoS path, whose per-fiber schedule_into composes
-  // with fault reduction — and still uses masked kernels on healthy fibers.
-  const bool soa = health == nullptr && simd_enabled();
-
   // Partition the slot's requests into the N destination subsets — a stable
   // counting sort into the reusable CSR arenas, so no request appears in two
   // subsets and arrival order within a fiber is preserved. Per-request field
@@ -103,12 +94,7 @@ void DistributedScheduler::schedule_slot_impl(
       soa_.fiber_offsets[fiber + 1] += soa_.fiber_offsets[fiber];
     }
     const std::size_t total = soa_.fiber_offsets[n_fibers];
-    if (soa) {
-      soa_.resize_entries(total);
-    } else {
-      flat_requests_.resize(total);
-      soa_.origin.resize(total);
-    }
+    soa_.resize_entries(total);
     csr_decisions_.resize(total);
     fiber_cursor_.assign(soa_.fiber_offsets.begin(),
                          soa_.fiber_offsets.end() - 1);
@@ -118,14 +104,9 @@ void DistributedScheduler::schedule_slot_impl(
       const std::size_t pos =
           fiber_cursor_[static_cast<std::size_t>(r.output_fiber)]++;
       soa_.origin[pos] = static_cast<std::uint32_t>(idx);
-      if (soa) {
-        soa_.wavelength[pos] = r.wavelength;
-        soa_.input_fiber[pos] = r.input_fiber;
-        soa_.duration[pos] = r.duration;
-      } else {
-        flat_requests_[pos] =
-            Request{r.input_fiber, r.wavelength, r.id, r.duration};
-      }
+      soa_.wavelength[pos] = r.wavelength;
+      soa_.input_fiber[pos] = r.input_fiber;
+      soa_.duration[pos] = r.duration;
     }
   }
 
@@ -189,19 +170,11 @@ void DistributedScheduler::schedule_slot_impl(
     const bool degraded = budgeted && degrade_flags_[fiber] != 0;
     std::uint64_t granted = 0;
     try {
-      if (soa) {
-        ports_[fiber].schedule_batch_into(
-            std::span<const std::int32_t>{soa_.wavelength.data() + lo, hi - lo},
-            std::span<const std::int32_t>{soa_.input_fiber.data() + lo,
-                                          hi - lo},
-            std::span<const std::int32_t>{soa_.duration.data() + lo, hi - lo},
-            row_of(fiber), bits_of(fiber), staged, degraded);
-      } else {
-        const std::span<const Request> batch{flat_requests_.data() + lo,
-                                             hi - lo};
-        ports_[fiber].schedule_into(batch, row_of(fiber), fiber_health, staged,
-                                    degraded, bits_of(fiber));
-      }
+      ports_[fiber].schedule_batch_into(
+          std::span<const std::int32_t>{soa_.wavelength.data() + lo, hi - lo},
+          std::span<const std::int32_t>{soa_.input_fiber.data() + lo, hi - lo},
+          std::span<const std::int32_t>{soa_.duration.data() + lo, hi - lo},
+          row_of(fiber), bits_of(fiber), fiber_health, staged, degraded);
       // Every routed request passes through here, so this is where a
       // decision the port never made becomes an explicit internal error.
       for (std::size_t i = 0; i < staged.size(); ++i) {

@@ -5,6 +5,11 @@
 // per-fiber schedules. In a switch these run on per-fiber hardware; here they
 // run serially or on a thread pool, and the per-slot work stays O(k) / O(dk)
 // per fiber regardless of N (the property experiment E2 measures).
+//
+// A slot is partitioned once into SoA columns (core/slot_batch.hpp), and
+// every fiber, healthy or faulted, runs the same port pass on them
+// (OutputPortScheduler::schedule_batch_into): a fiber's hardware faults
+// are folded into its availability words, not routed to another kernel.
 #pragma once
 
 #include <cstdint>
@@ -174,12 +179,9 @@ class DistributedScheduler {
   // Reusable per-slot scratch: CSR partition of the slot's requests into the
   // N destination subsets (stable counting sort keeps arrival order within a
   // fiber), plus per-fiber decision staging. Capacity persists across slots.
-  // `soa_` holds the CSR offsets and origin column in both modes; its data
-  // columns are filled instead of `flat_requests_` when the masked/SoA path
-  // is enabled (healthy hardware + core/simd.hpp allows it), so the per-port
-  // hot loop touches 4-byte columns rather than 24-byte Request structs.
+  // The partition fills 4-byte columns rather than 24-byte Request structs,
+  // since ids never reach the port pass.
   SlotBatchSoA soa_;
-  std::vector<Request> flat_requests_;       // partitioned requests, AoS mode
   std::vector<std::uint32_t> fiber_cursor_;  // fill cursors for the sort
   std::vector<PortDecision> csr_decisions_;  // per-fiber results, CSR order
   std::vector<std::uint8_t> degrade_flags_;  // per-fiber degradation plan

@@ -8,15 +8,6 @@ namespace wdm::core {
 ChannelAssignment first_available(const RequestVector& requests,
                                   const ConversionScheme& scheme,
                                   std::span<const std::uint8_t> available) {
-  ChannelAssignment out(scheme.k());
-  first_available_into(requests, scheme, available, out);
-  return out;
-}
-
-void first_available_into(const RequestVector& requests,
-                          const ConversionScheme& scheme,
-                          std::span<const std::uint8_t> available,
-                          ChannelAssignment& out) {
   WDM_CHECK_MSG(scheme.kind() == ConversionKind::kNonCircular,
                 "first_available requires a non-circular scheme (Theorem 1); "
                 "use break_first_available for circular conversion");
@@ -29,7 +20,7 @@ void first_available_into(const RequestVector& requests,
   const std::int32_t k = scheme.k();
   const std::int32_t e = scheme.e();
   const std::int32_t f = scheme.f();
-  out.reset(k);
+  ChannelAssignment out(k);
 
   // Pointer over left vertices in request-vector form: wavelength `w` with
   // `remaining` unscheduled requests. All lower wavelengths are either fully
@@ -58,6 +49,7 @@ void first_available_into(const RequestVector& requests,
       remaining -= 1;
     }
   }
+  return out;
 }
 
 void first_available_masked_into(const RequestVector& requests,
@@ -79,10 +71,10 @@ void first_available_masked_into(const RequestVector& requests,
   const std::uint64_t* nonempty = nonempty_words.data();
   out.reset(k);
 
-  // The scalar sweep's two pointers, with both no-op walks replaced by
+  // first_available's two pointers, with both no-op walks replaced by
   // find-next-set jumps: the channel loop skips occupied channels (the
-  // scalar `continue`s on them) and the wavelength pointer skips empty
-  // wavelengths (the scalar steps through them without exiting its while —
+  // spec `continue`s on them) and the wavelength pointer skips empty
+  // wavelengths (the spec steps through them without exiting its while —
   // it only stops on a wavelength with remaining > 0 and w + f >= u, which
   // is exactly where the jump lands). The grant sequence is identical.
   Wavelength w = 0;

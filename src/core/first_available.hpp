@@ -23,25 +23,21 @@ namespace wdm::core {
 
 /// Maximum-matching channel assignment for a non-circular scheme.
 /// `available` is a size-k mask (1 = channel free); empty means all free.
+/// The executable specification of Table 2: one step per channel, the
+/// oracle the word kernel below is pinned against.
 ChannelAssignment first_available(const RequestVector& requests,
                                   const ConversionScheme& scheme,
                                   std::span<const std::uint8_t> available = {});
 
-/// As first_available, writing into caller-owned scratch: `out` is reset to
-/// k channels and filled in place, so a warm scratch assignment makes the
-/// call allocation-free (the per-slot hot path).
-void first_available_into(const RequestVector& requests,
-                          const ConversionScheme& scheme,
-                          std::span<const std::uint8_t> available,
-                          ChannelAssignment& out);
-
-/// Masked variant of first_available_into, decision-for-decision identical:
-/// `avail_words` is the packed availability row (bit = 1 free, mask_words(k)
-/// words, tail zero; see core/wave_mask.hpp) and `nonempty_words` the packed
-/// nonempty-wavelength mask (bit w set iff requests.count(w) > 0). Both
-/// sweeps jump with countr_zero over exactly the iterations the scalar loop
-/// no-ops on — occupied channels and empty wavelengths — so the grant
-/// sequence, and therefore the assignment, is bit-identical.
+/// The production kernel, decision-for-decision identical to
+/// first_available and writing into caller-owned scratch (allocation-free
+/// once `out` is warm). `avail_words` is the packed availability row (bit =
+/// 1 free, mask_words(k) words, tail zero; see core/wave_mask.hpp) and
+/// `nonempty_words` the packed nonempty-wavelength mask (bit w set iff
+/// requests.count(w) > 0). Both sweeps jump with countr_zero over exactly
+/// the iterations the channel-by-channel loop no-ops on — occupied channels
+/// and empty wavelengths — so the grant sequence, and therefore the
+/// assignment, is bit-identical.
 void first_available_masked_into(const RequestVector& requests,
                                  const ConversionScheme& scheme,
                                  std::span<const std::uint64_t> avail_words,

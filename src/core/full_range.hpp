@@ -16,14 +16,18 @@
 namespace wdm::core {
 
 /// Grants as many requests as there are free channels; wavelengths are
-/// consumed in index order, channels in index order.
+/// consumed in index order, channels in index order. The executable
+/// specification of the rule.
 ChannelAssignment full_range_schedule(const RequestVector& requests,
                                       std::span<const std::uint8_t> available = {});
 
-/// As full_range_schedule, writing into caller-owned scratch: `out` is reset
-/// and filled in place, allocation-free once the scratch is warm.
+/// The production kernel, identical to full_range_schedule on the packed
+/// masks of core/wave_mask.hpp: `avail_words` is the availability row and
+/// `nonempty_words` the nonempty-wavelength mask of `requests`. Writes into
+/// caller-owned scratch, allocation-free once `out` is warm.
 void full_range_schedule_into(const RequestVector& requests,
-                              std::span<const std::uint8_t> available,
+                              std::span<const std::uint64_t> avail_words,
+                              std::span<const std::uint64_t> nonempty_words,
                               ChannelAssignment& out);
 
 }  // namespace wdm::core

@@ -1,5 +1,9 @@
 #include "core/health.hpp"
 
+#include <algorithm>
+#include <bit>
+
+#include "core/wave_mask.hpp"
 #include "util/check.hpp"
 
 namespace wdm::core {
@@ -69,6 +73,67 @@ HealthReduction apply_health(const RequestVector& requests,
     out.requests.add(w, counts[static_cast<std::size_t>(w)]);
   }
   return out;
+}
+
+void fold_health(const RequestVector& requests,
+                 std::span<const std::uint64_t> avail_words,
+                 std::span<const std::uint64_t> nonempty_words,
+                 const HealthMask& health, HealthFold& out) {
+  const std::int32_t k = requests.k();
+  const std::size_t nw = mask_words(k);
+  WDM_CHECK_MSG(avail_words.size() == nw && nonempty_words.size() == nw,
+                "packed masks must have mask_words(k) words");
+  WDM_CHECK_MSG(health.channels.empty() ||
+                    static_cast<std::int32_t>(health.channels.size()) == k,
+                "health mask must be empty or size k");
+
+  out.requests = requests;
+  out.availability.assign(avail_words.begin(), avail_words.end());
+  out.nonempty.assign(nonempty_words.begin(), nonempty_words.end());
+  out.pre_granted.assign(nw, 0);
+  if (health.fiber_faulted) {
+    // As apply_health: a cut fiber leaves nothing to schedule.
+    out.requests.clear();
+    mask_zero(out.availability.data(), k);
+    mask_zero(out.nonempty.data(), k);
+    return;
+  }
+  if (health.channels.empty()) return;
+
+  for (std::size_t wi = 0; wi < nw; ++wi) {
+    const auto base = static_cast<std::int32_t>(wi * 64);
+    const std::int32_t end = std::min(k, base + 64);
+    std::uint64_t dead = 0;       // converter- or channel-faulted
+    std::uint64_t converter = 0;  // converter-faulted only
+    for (std::int32_t u = base; u < end; ++u) {
+      const ChannelHealth h = health.channels[static_cast<std::size_t>(u)];
+      const auto bit = static_cast<std::uint32_t>(u - base);
+      dead |= std::uint64_t{h != ChannelHealth::kHealthy} << bit;
+      converter |= std::uint64_t{h == ChannelHealth::kConverterFaulted} << bit;
+    }
+    // apply_health's exchange argument, one word at a time: a free
+    // converter-faulted channel whose own wavelength has a request is
+    // pre-granted to it, and every faulted channel leaves the row.
+    const std::uint64_t take = avail_words[wi] & nonempty_words[wi] & converter;
+    out.availability[wi] &= ~dead;
+    out.pre_granted[wi] = take;
+    for (std::uint64_t t = take; t != 0; t &= t - 1) {
+      const Wavelength u = base + std::countr_zero(t);
+      out.requests.remove(u);
+      if (out.requests.count(u) == 0) mask_clear(out.nonempty.data(), u);
+    }
+  }
+}
+
+void HealthFold::write_pre_grants(ChannelAssignment& out) const {
+  for (std::size_t wi = 0; wi < pre_granted.size(); ++wi) {
+    for (std::uint64_t t = pre_granted[wi]; t != 0; t &= t - 1) {
+      const auto u = static_cast<Channel>(wi * 64) + std::countr_zero(t);
+      WDM_DCHECK(out.source[static_cast<std::size_t>(u)] == kNone);
+      out.source[static_cast<std::size_t>(u)] = u;
+      out.granted += 1;
+    }
+  }
 }
 
 }  // namespace wdm::core

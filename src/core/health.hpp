@@ -20,15 +20,24 @@
 // and an exchange argument shows some maximum matching grants u to one of
 // them whenever one exists — so pre-granting that pair and deleting u
 // preserves the maximum. Channel deletion is the availability-mask deletion
-// the kernels already handle exactly (Section V of the paper; fuzz-verified
-// in PR 1). The oracle fuzzer re-proves the whole reduction differentially
-// against Hopcroft–Karp on the explicit fault-reduced graph.
+// the kernels already handle exactly (Section V of the paper). The oracle
+// fuzzer re-proves the whole reduction differentially against Hopcroft–Karp
+// on the explicit fault-reduced graph.
+//
+// The reduction comes in two forms with one result. apply_health works on
+// byte masks and returns a fresh instance; the oracle and the graph
+// baselines use it. fold_health is the production form: the same deletions
+// and pre-grants as word operations on the packed masks of
+// core/wave_mask.hpp, written into caller-owned scratch. A faulted fiber
+// therefore runs the same word kernel as a healthy one, and neither
+// allocates once the scratch is warm.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/channel_assignment.hpp"
 #include "core/request.hpp"
 #include "core/wavelength.hpp"
 
@@ -87,5 +96,34 @@ struct HealthReduction {
 HealthReduction apply_health(const RequestVector& requests,
                              std::span<const std::uint8_t> available,
                              const HealthMask& health);
+
+/// apply_health in packed-word form (core/wave_mask.hpp layout), as
+/// caller-owned scratch. Sized by the first fold_health call; later folds
+/// of the same k reuse the capacity and never allocate.
+struct HealthFold {
+  /// Request counts after the converter-fault pre-grants were taken out.
+  RequestVector requests;
+  /// Input availability row with every faulted channel cleared.
+  std::vector<std::uint64_t> availability;
+  /// Nonempty-wavelength mask of `requests`.
+  std::vector<std::uint64_t> nonempty;
+  /// Bit u set iff converter-faulted channel u was pre-granted to a
+  /// wavelength-u request.
+  std::vector<std::uint64_t> pre_granted;
+
+  /// Writes the pre-grants (channel u -> wavelength u) into a kernel's
+  /// assignment of the folded instance, which leaves those channels free.
+  void write_pre_grants(ChannelAssignment& out) const;
+};
+
+/// Folds `health` into copies of a port's packed masks: `avail_words` is
+/// the availability row (bit = 1 free) and `nonempty_words` must be the
+/// nonempty mask of `requests` (bit w set iff requests.count(w) > 0), both
+/// mask_words(k) words. The result equals apply_health on the unpacked
+/// instance: same reduced counts, availability and pre-grants.
+void fold_health(const RequestVector& requests,
+                 std::span<const std::uint64_t> avail_words,
+                 std::span<const std::uint64_t> nonempty_words,
+                 const HealthMask& health, HealthFold& out);
 
 }  // namespace wdm::core

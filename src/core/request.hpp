@@ -27,6 +27,9 @@ struct Request {
 /// Per-wavelength request counts for one output fiber in one slot.
 class RequestVector {
  public:
+  /// Zero-wavelength placeholder for scratch that is sized by its first
+  /// assignment from a real vector.
+  RequestVector() = default;
   explicit RequestVector(std::int32_t k);
   /// E.g. RequestVector({2, 1, 0, 1, 1, 2}) — the paper's running example.
   RequestVector(std::initializer_list<std::int32_t> counts);
@@ -47,6 +50,15 @@ class RequestVector {
     WDM_CHECK_MSG(n >= 0, "cannot add a negative number of requests");
     counts_[static_cast<std::size_t>(w)] += n;
     total_ += n;
+  }
+
+  /// Takes `n` requests of wavelength `w` back out; n <= count(w).
+  void remove(Wavelength w, std::int32_t n = 1) {
+    WDM_CHECK(w >= 0 && w < k());
+    WDM_CHECK_MSG(n >= 0 && n <= counts_[static_cast<std::size_t>(w)],
+                  "cannot remove more requests than are pending");
+    counts_[static_cast<std::size_t>(w)] -= n;
+    total_ -= n;
   }
 
   void clear() noexcept {

@@ -8,7 +8,6 @@
 #include "core/first_available.hpp"
 #include "core/full_range.hpp"
 #include "core/request_graph.hpp"
-#include "core/simd.hpp"
 #include "core/sparse_converters.hpp"
 #include "core/wave_mask.hpp"
 #include "graph/glover.hpp"
@@ -26,6 +25,15 @@ Algorithm resolve(Algorithm requested, const ConversionScheme& scheme) {
   return scheme.kind() == ConversionKind::kCircular
              ? Algorithm::kBreakFirstAvailable
              : Algorithm::kFirstAvailable;
+}
+
+/// True for the paper's per-slot algorithms, which have a word kernel; the
+/// graph baselines have only their value-returning form.
+bool has_word_kernel(Algorithm algorithm) {
+  return algorithm == Algorithm::kFirstAvailable ||
+         algorithm == Algorithm::kBreakFirstAvailable ||
+         algorithm == Algorithm::kApproxBfa ||
+         algorithm == Algorithm::kFullRange;
 }
 
 /// Compacts a plain adjacency interval onto the available channels:
@@ -211,57 +219,19 @@ ChannelAssignment OutputPortScheduler::assign_channels(
 ChannelAssignment OutputPortScheduler::assign_channels(
     const RequestVector& requests, std::span<const std::uint8_t> available,
     const HealthMask& health, bool degraded) {
-  if (health.fiber_faulted) return ChannelAssignment(scheme_.k());
-  if (health.all_healthy() && !degraded) {
-    return assign_channels(requests, available);
-  }
-  if (health.all_healthy()) {
-    ChannelAssignment out(scheme_.k());
-    assign_channels_into(requests, available, out, degraded);
-    return out;
-  }
-  const HealthReduction red = apply_health(requests, available, health);
-  ChannelAssignment out(scheme_.k());
-  assign_channels_into(red.requests, red.availability, out, degraded);
-  for (Channel u = 0; u < scheme_.k(); ++u) {
-    if (red.pre_granted[static_cast<std::size_t>(u)] == 0) continue;
-    WDM_DCHECK(out.source[static_cast<std::size_t>(u)] == kNone);
-    out.source[static_cast<std::size_t>(u)] = u;
-    out.granted += 1;
-  }
-  return out;
-}
-
-void OutputPortScheduler::assign_channels_into(
-    const RequestVector& requests, std::span<const std::uint8_t> available,
-    ChannelAssignment& out, bool degraded) {
-  switch (algorithm_) {
-    case Algorithm::kFirstAvailable:
-      first_available_into(requests, scheme_, available, out);
-      return;
-    case Algorithm::kBreakFirstAvailable:
-      if (degraded) {
-        // Overload degeneration: the Theorem-1 ladder — one break instead
-        // of the exhaustive d-way sweep, O(k) instead of O(dk), within
-        // (d-1)/2 of the maximum (Theorem 3).
-        approx_break_first_available_into(requests, scheme_, available, out);
-        return;
-      }
-      break_first_available_into(requests, scheme_, available, pool_,
-                                 bfa_scratch_, out);
-      return;
-    case Algorithm::kApproxBfa:
-      approx_break_first_available_into(requests, scheme_, available, out);
-      return;
-    case Algorithm::kFullRange:
-      full_range_schedule_into(requests, available, out);
-      return;
-    default:
-      // The baseline graph algorithms build their graphs afresh every call;
-      // copy the result into the scratch so callers see one contract.
-      out = assign_channels(requests, available);
-      return;
-  }
+  const std::int32_t k = scheme_.k();
+  WDM_CHECK_MSG(requests.k() == k, "request vector and scheme disagree on k");
+  WDM_CHECK_MSG(available.empty() ||
+                    static_cast<std::int32_t>(available.size()) == k,
+                "availability mask must be empty or size k");
+  WDM_CHECK_MSG(health.channels.empty() ||
+                    static_cast<std::int32_t>(health.channels.size()) == k,
+                "health mask must be empty or size k");
+  if (health.fiber_faulted) return ChannelAssignment(k);
+  pack_counts(requests.counts(), k, nonempty_bits_.data());
+  run_kernel(requests, available, {}, health.all_healthy() ? nullptr : &health,
+             degraded);
+  return assign_scratch_;
 }
 
 std::vector<PortDecision> OutputPortScheduler::schedule(
@@ -272,45 +242,64 @@ std::vector<PortDecision> OutputPortScheduler::schedule(
   return decisions;
 }
 
-bool OutputPortScheduler::use_masked_kernels() const noexcept {
-  if (!simd_enabled()) return false;
-  return algorithm_ == Algorithm::kFirstAvailable ||
-         algorithm_ == Algorithm::kBreakFirstAvailable ||
-         algorithm_ == Algorithm::kApproxBfa;
-}
+void OutputPortScheduler::run_kernel(const RequestVector& requests,
+                                     std::span<const std::uint8_t> available,
+                                     std::span<const std::uint64_t> avail_words,
+                                     const HealthMask* health, bool degraded) {
+  ChannelAssignment& out = assign_scratch_;
+  if (!has_word_kernel(algorithm_)) {
+    // The baseline graph algorithms build their graphs afresh every call.
+    if (health == nullptr) {
+      out = assign_channels(requests, available);
+      return;
+    }
+    const HealthReduction red = apply_health(requests, available, *health);
+    out = assign_channels(red.requests, red.availability);
+    for (Channel u = 0; u < scheme_.k(); ++u) {
+      if (red.pre_granted[static_cast<std::size_t>(u)] == 0) continue;
+      WDM_DCHECK(out.source[static_cast<std::size_t>(u)] == kNone);
+      out.source[static_cast<std::size_t>(u)] = u;
+      out.granted += 1;
+    }
+    return;
+  }
 
-void OutputPortScheduler::masked_assign_channels_into(
-    const RequestVector& requests, std::span<const std::uint8_t> available,
-    std::span<const std::uint64_t> avail_words, ChannelAssignment& out,
-    bool degraded) {
   if (avail_words.size() != avail_bits_.size()) {
     pack_availability(available, scheme_.k(), avail_bits_.data());
     avail_words = avail_bits_;
   }
-  const std::span<const std::uint64_t> nonempty(nonempty_bits_.data(),
-                                                nonempty_bits_.size());
+  const RequestVector* rv = &requests;
+  std::span<const std::uint64_t> nonempty = nonempty_bits_;
+  if (health != nullptr) {
+    if (!fold_) fold_ = std::make_unique<HealthFold>();
+    fold_health(requests, avail_words, nonempty, *health, *fold_);
+    rv = &fold_->requests;
+    avail_words = fold_->availability;
+    nonempty = fold_->nonempty;
+  }
   switch (algorithm_) {
     case Algorithm::kFirstAvailable:
-      first_available_masked_into(requests, scheme_, avail_words, nonempty,
-                                  out);
-      return;
+      first_available_masked_into(*rv, scheme_, avail_words, nonempty, out);
+      break;
     case Algorithm::kBreakFirstAvailable:
-      if (degraded) {
-        approx_break_first_available_masked_into(requests, scheme_,
-                                                 avail_words, nonempty, out);
-        return;
+      if (!degraded) {
+        break_first_available_masked_into(*rv, scheme_, avail_words, nonempty,
+                                          pool_, bfa_scratch_, out);
+        break;
       }
-      break_first_available_masked_into(requests, scheme_, avail_words,
-                                        nonempty, pool_, bfa_scratch_, out);
-      return;
+      // Overload degeneration: the Theorem-1 ladder — one break instead of
+      // the exhaustive d-way sweep, O(k) instead of O(dk), within (d-1)/2
+      // of the maximum (Theorem 3).
+      [[fallthrough]];
     case Algorithm::kApproxBfa:
-      approx_break_first_available_masked_into(requests, scheme_, avail_words,
+      approx_break_first_available_masked_into(*rv, scheme_, avail_words,
                                                nonempty, out);
-      return;
-    default:
+      break;
+    default:  // kFullRange, the last algorithm with a word kernel
+      full_range_schedule_into(*rv, avail_words, nonempty, out);
       break;
   }
-  util::check_failed("masked dispatch", __FILE__, __LINE__, "unreachable");
+  if (health != nullptr) fold_->write_pre_grants(out);
 }
 
 template <typename WaveFn>
@@ -387,12 +376,12 @@ void OutputPortScheduler::arbitrate_into(std::size_t n_requests,
       });
 }
 
-void OutputPortScheduler::schedule_into(
-    std::span<const Request> requests, std::span<const std::uint8_t> available,
-    const HealthMask* health, std::span<PortDecision> decisions, bool degraded,
-    std::span<const std::uint64_t> avail_bits) {
-  WDM_CHECK_MSG(decisions.size() == requests.size(),
-                "one decision slot per request");
+template <typename RequestAt>
+void OutputPortScheduler::schedule_port(
+    std::size_t n_requests, RequestAt&& request_at,
+    std::span<const std::uint8_t> available,
+    std::span<const std::uint64_t> avail_bits, const HealthMask* health,
+    std::span<PortDecision> decisions, bool degraded) {
   const std::int32_t k = scheme_.k();
 
   // Externally supplied data never aborts the slot: a wrong-shaped mask or a
@@ -408,50 +397,53 @@ void OutputPortScheduler::schedule_into(
   if (health != nullptr) {
     if (!health->channels.empty() &&
         static_cast<std::int32_t>(health->channels.size()) != k) {
-      for (auto& d : decisions) {
-        d = PortDecision::reject(RejectReason::kBadHealthMask);
-      }
+      std::fill(decisions.begin(), decisions.end(),
+                PortDecision::reject(RejectReason::kBadHealthMask));
       return;
     }
     // A fiber cut outranks per-request validation: nothing on a dead fiber
     // is inspected, everything is rejected as faulted.
     if (health->fiber_faulted) {
-      for (auto& d : decisions) {
-        d = PortDecision::reject(RejectReason::kFaulted);
-      }
+      std::fill(decisions.begin(), decisions.end(),
+                PortDecision::reject(RejectReason::kFaulted));
       return;
     }
     if (health->all_healthy()) health = nullptr;
   }
 
-  const bool masked = health == nullptr && use_masked_kernels();
-  if (masked) mask_zero(nonempty_bits_.data(), k);
+  // The accept test is a single predicted branch; the cold path names the
+  // reason with validate_request itself, so the field order is its order.
+  mask_zero(nonempty_bits_.data(), k);
   rv_scratch_.clear();
-  for (std::size_t idx = 0; idx < requests.size(); ++idx) {
-    const RejectReason reason = validate_request(requests[idx], k);
-    if (reason != RejectReason::kGranted) {
-      decisions[idx] = PortDecision::reject(reason);
+  for (std::size_t idx = 0; idx < n_requests; ++idx) {
+    const Request& r = request_at(idx);
+    if (r.wavelength >= 0 && r.wavelength < k && r.input_fiber >= 0 &&
+        r.duration >= 1) {
+      rv_scratch_.add(r.wavelength);
+      mask_set(nonempty_bits_.data(), r.wavelength);
       continue;
     }
-    rv_scratch_.add(requests[idx].wavelength);
-    if (masked) mask_set(nonempty_bits_.data(), requests[idx].wavelength);
+    decisions[idx] = PortDecision::reject(validate_request(r, k));
   }
 
-  if (health != nullptr) {
-    // Fault reduction allocates; degraded slots are rare, so this path is
-    // deliberately outside the zero-allocation contract.
-    assign_scratch_ = assign_channels(rv_scratch_, available, *health, degraded);
-  } else if (masked) {
-    masked_assign_channels_into(rv_scratch_, available, avail_bits,
-                                assign_scratch_, degraded);
-  } else {
-    assign_channels_into(rv_scratch_, available, assign_scratch_, degraded);
-  }
+  run_kernel(rv_scratch_, available, avail_bits, health, degraded);
 
   arbitrate_into(
-      requests.size(),
-      [&requests](std::size_t idx) { return requests[idx].wavelength; },
+      n_requests,
+      [&request_at](std::size_t idx) { return request_at(idx).wavelength; },
       decisions);
+}
+
+void OutputPortScheduler::schedule_into(
+    std::span<const Request> requests, std::span<const std::uint8_t> available,
+    const HealthMask* health, std::span<PortDecision> decisions, bool degraded,
+    std::span<const std::uint64_t> avail_bits) {
+  WDM_CHECK_MSG(decisions.size() == requests.size(),
+                "one decision slot per request");
+  schedule_port(
+      requests.size(),
+      [&requests](std::size_t idx) -> const Request& { return requests[idx]; },
+      available, avail_bits, health, decisions, degraded);
 }
 
 void OutputPortScheduler::schedule_batch_into(
@@ -459,53 +451,18 @@ void OutputPortScheduler::schedule_batch_into(
     std::span<const std::int32_t> input_fibers,
     std::span<const std::int32_t> durations,
     std::span<const std::uint8_t> available,
-    std::span<const std::uint64_t> avail_bits,
+    std::span<const std::uint64_t> avail_bits, const HealthMask* health,
     std::span<PortDecision> decisions, bool degraded) {
   WDM_CHECK_MSG(decisions.size() == wavelengths.size() &&
                     input_fibers.size() == wavelengths.size() &&
                     durations.size() == wavelengths.size(),
                 "one decision slot per request and equal column lengths");
-  const std::int32_t k = scheme_.k();
-  const bool bad_mask =
-      !available.empty() && static_cast<std::int32_t>(available.size()) != k;
-  std::fill(decisions.begin(), decisions.end(),
-            PortDecision::reject(bad_mask ? RejectReason::kBadAvailabilityMask
-                                          : RejectReason::kNoChannel));
-  if (bad_mask) return;
-
-  const bool masked = use_masked_kernels();
-  if (masked) mask_zero(nonempty_bits_.data(), k);
-  rv_scratch_.clear();
-  for (std::size_t idx = 0; idx < wavelengths.size(); ++idx) {
-    // Column validation in the exact field order of validate_request, so
-    // the rejection reasons match the AoS path field for field. The accept
-    // test is a single predicted branch; the cold path walks the fields in
-    // order to name the reason.
-    const std::int32_t w = wavelengths[idx];
-    if (w >= 0 && w < k && input_fibers[idx] >= 0 && durations[idx] >= 1) {
-      rv_scratch_.add(w);
-      if (masked) mask_set(nonempty_bits_.data(), w);
-      continue;
-    }
-    if (w < 0 || w >= k) {
-      decisions[idx] = PortDecision::reject(RejectReason::kInvalidWavelength);
-    } else if (input_fibers[idx] < 0) {
-      decisions[idx] = PortDecision::reject(RejectReason::kInvalidInputFiber);
-    } else {
-      decisions[idx] = PortDecision::reject(RejectReason::kInvalidDuration);
-    }
-  }
-
-  if (masked) {
-    masked_assign_channels_into(rv_scratch_, available, avail_bits,
-                                assign_scratch_, degraded);
-  } else {
-    assign_channels_into(rv_scratch_, available, assign_scratch_, degraded);
-  }
-
-  arbitrate_into(
+  schedule_port(
       wavelengths.size(),
-      [&wavelengths](std::size_t idx) { return wavelengths[idx]; }, decisions);
+      [&](std::size_t idx) {
+        return Request{input_fibers[idx], wavelengths[idx], 0, durations[idx]};
+      },
+      available, avail_bits, health, decisions, degraded);
 }
 
 void OutputPortScheduler::reserve_batch(std::size_t max_requests) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -121,13 +122,17 @@ class OutputPortScheduler {
   void set_converter_budget(std::int32_t budget);
   std::int32_t converter_budget() const noexcept { return converter_budget_; }
 
-  /// Channel-level schedule (the matching kernel only, no identities).
+  /// Channel-level schedule (the matching kernel only, no identities),
+  /// from the value-returning kernels: the paper's executable specification
+  /// for FA / BFA / approx-BFA / full-range, the graph algorithms for the
+  /// baselines.
   ChannelAssignment assign_channels(const RequestVector& requests,
                                     std::span<const std::uint8_t> available = {});
 
-  /// Channel-level schedule under degraded hardware: applies the fault
-  /// reduction (core/health.hpp), runs the kernel on the surviving
-  /// instance, and folds the converter-fault pre-grants back in. The result
+  /// Channel-level schedule through the production kernel path of
+  /// schedule_into, under degraded hardware: folds the faults into the
+  /// availability (core/health.hpp), runs the kernel on the surviving
+  /// instance, and writes the converter-fault pre-grants back in. The result
   /// is a maximum matching of the fault-reduced request graph whenever the
   /// healthy kernel is maximum. A faulted fiber grants nothing.
   /// `degraded` requests the overload degeneration (see schedule_into).
@@ -135,18 +140,6 @@ class OutputPortScheduler {
                                     std::span<const std::uint8_t> available,
                                     const HealthMask& health,
                                     bool degraded = false);
-
-  /// As assign_channels, writing into caller-owned scratch. The paper's
-  /// kernels (FA / BFA / approx-BFA / full-range) run allocation-free once
-  /// the scheduler's arenas are warm; the baseline graph algorithms still
-  /// build their graphs afresh and copy the result out. With `degraded` set,
-  /// the exact circular BFA sweep (O(dk)) is downgraded to the Section IV.C
-  /// single-break approximation (O(k), within (d-1)/2 of maximum, Theorem 3)
-  /// — the overload ladder's work-bounded mode. Algorithms that already run
-  /// in O(k) (FA, approx-BFA, full-range) are unaffected by the flag.
-  void assign_channels_into(const RequestVector& requests,
-                            std::span<const std::uint8_t> available,
-                            ChannelAssignment& out, bool degraded = false);
 
   /// True iff `degraded` scheduling actually changes this port's kernel
   /// (exact circular BFA with d > 1 is the only O(dk) per-slot kernel).
@@ -166,14 +159,18 @@ class OutputPortScheduler {
 
   /// As schedule, writing decisions into a caller-owned span (one entry per
   /// request). Decision-for-decision identical to schedule(); the fast path
-  /// of the slot pipeline — zero heap allocations once the scratch arenas
-  /// are warm (healthy hardware; the fault-reduction path still allocates).
-  /// `degraded` downgrades a degradable() kernel to its O(k) approximation
-  /// (deadline-bounded degradation; composes with `health`).
+  /// of the slot pipeline. The paper's kernels (FA / BFA / approx-BFA /
+  /// full-range) run on packed words and make zero heap allocations once
+  /// the scratch arenas are warm, on healthy and faulted fibers alike; the
+  /// baseline graph algorithms build their graphs afresh every call.
+  /// `degraded` downgrades a degradable() kernel to its O(k) approximation:
+  /// the exact circular BFA sweep (O(dk)) becomes the Section IV.C single
+  /// break (O(k), within (d-1)/2 of maximum, Theorem 3). It composes with
+  /// `health`, and the O(k) kernels ignore it.
   /// `avail_bits`, if sized mask_words(k), is the packed form of `available`
-  /// (core/wave_mask.hpp layout) and lets the masked kernels skip the
-  /// per-call byte→bit packing; any other size is ignored and the bytes are
-  /// packed locally. Purely a fast path — decisions are unchanged.
+  /// (core/wave_mask.hpp layout) and lets the kernels skip the per-call
+  /// byte→bit packing; any other size is ignored and the bytes are packed
+  /// locally. Purely a fast path — decisions are unchanged.
   void schedule_into(std::span<const Request> requests,
                      std::span<const std::uint8_t> available,
                      const HealthMask* health,
@@ -181,16 +178,15 @@ class OutputPortScheduler {
                      bool degraded = false,
                      std::span<const std::uint64_t> avail_bits = {});
 
-  /// Column-oriented schedule_into for the SoA slot batch (healthy hardware
-  /// only — fault reduction goes through schedule_into): one decision per
-  /// column entry, validation in the exact validate_request field order, so
-  /// decisions are bit-identical to schedule_into over the equivalent AoS
-  /// requests. Works in both scalar and masked kernel modes.
+  /// Column-oriented schedule_into for the SoA slot batch: one decision per
+  /// column entry. It runs the same port pass as schedule_into, so decisions
+  /// are bit-identical to schedule_into over the equivalent AoS requests.
   void schedule_batch_into(std::span<const std::int32_t> wavelengths,
                            std::span<const std::int32_t> input_fibers,
                            std::span<const std::int32_t> durations,
                            std::span<const std::uint8_t> available,
                            std::span<const std::uint64_t> avail_bits,
+                           const HealthMask* health,
                            std::span<PortDecision> decisions,
                            bool degraded = false);
 
@@ -208,17 +204,26 @@ class OutputPortScheduler {
   void restore_state(util::SnapshotReader& r);
 
  private:
-  /// Whether this port's kernel has a masked (word-at-a-time) variant and
-  /// the process-wide SIMD mode allows using it (core/simd.hpp).
-  bool use_masked_kernels() const noexcept;
-  /// Masked-kernel dispatch (nonempty_bits_ must already reflect the
-  /// request vector). Only called when use_masked_kernels() is true.
+  /// The port pass behind schedule_into and schedule_batch_into, in order:
+  /// mask and health-shape checks, per-request validation in
+  /// validate_request field order, the kernel (run_kernel), and arbitration.
+  /// `request_at(idx)` must return request `idx` (ids are never read).
+  template <typename RequestAt>
+  void schedule_port(std::size_t n_requests, RequestAt&& request_at,
+                     std::span<const std::uint8_t> available,
+                     std::span<const std::uint64_t> avail_bits,
+                     const HealthMask* health,
+                     std::span<PortDecision> decisions, bool degraded);
+  /// Schedules `requests` into assign_scratch_. The paper's algorithms run
+  /// their word kernel, with `health` (null = no faults) folded into the
+  /// masks first; nonempty_bits_ must be the nonempty mask of `requests`.
   /// `avail_words` of any size other than mask_words(k) is replaced by
-  /// `available` packed into avail_bits_.
-  void masked_assign_channels_into(const RequestVector& requests,
-                                   std::span<const std::uint8_t> available,
-                                   std::span<const std::uint64_t> avail_words,
-                                   ChannelAssignment& out, bool degraded);
+  /// `available` packed into avail_bits_. The graph baselines run
+  /// assign_channels on the bytes, after apply_health when faulted.
+  void run_kernel(const RequestVector& requests,
+                  std::span<const std::uint8_t> available,
+                  std::span<const std::uint64_t> avail_words,
+                  const HealthMask* health, bool degraded);
   /// Shared arbitration tail of schedule_into / schedule_batch_into: groups
   /// the competing requests (those still at reject(kNoChannel)) by
   /// wavelength, then hands assign_scratch_'s channels to FIFO /
@@ -249,10 +254,15 @@ class OutputPortScheduler {
   std::vector<std::uint32_t> member_flat_;
   std::vector<std::uint32_t> csr_cursor_;      // size k: fill, then grant
   std::vector<std::uint32_t> won_count_;       // size k+1, [w+1] = won by w
-  // Packed bit scratch for the masked kernels (core/wave_mask.hpp layout),
+  // Packed bit scratch for the word kernels (core/wave_mask.hpp layout),
   // sized mask_words(k) each.
   std::vector<std::uint64_t> avail_bits_;
   std::vector<std::uint64_t> nonempty_bits_;
+  // The fault fold of a degraded fiber, created and sized on the first one:
+  // healthy ports carry one null pointer. Arbitration keeps reading
+  // rv_scratch_, because a pre-granted request still competes in its
+  // wavelength group.
+  std::unique_ptr<HealthFold> fold_;
 };
 
 }  // namespace wdm::core

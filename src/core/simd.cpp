@@ -1,46 +1,6 @@
 #include "core/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace wdm::core {
-
-namespace {
-
-std::atomic<SimdMode> g_mode{SimdMode::kAuto};
-
-/// WDM_SIMD resolution, computed once: "off" / "0" / "scalar" (any case
-/// would be nice, but env conventions here are lowercase) force the scalar
-/// reference kernels; everything else — including unset — keeps masks on.
-bool env_allows_masks() {
-  static const bool allowed = [] {
-    const char* v = std::getenv("WDM_SIMD");
-    if (v == nullptr) return true;
-    return std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0 &&
-           std::strcmp(v, "scalar") != 0;
-  }();
-  return allowed;
-}
-
-}  // namespace
-
-void set_simd_mode(SimdMode mode) noexcept {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-SimdMode simd_mode() noexcept {
-  return g_mode.load(std::memory_order_relaxed);
-}
-
-bool simd_enabled() noexcept {
-  switch (g_mode.load(std::memory_order_relaxed)) {
-    case SimdMode::kScalar: return false;
-    case SimdMode::kMask: return true;
-    case SimdMode::kAuto: break;
-  }
-  return env_allows_masks();
-}
 
 bool avx2_available() noexcept {
 #if defined(WDM_HAVE_AVX2_TU) && defined(__GNUC__)
@@ -52,7 +12,6 @@ bool avx2_available() noexcept {
 }
 
 const char* simd_backend() noexcept {
-  if (!simd_enabled()) return "scalar";
   return avx2_available() ? "mask+avx2" : "mask";
 }
 

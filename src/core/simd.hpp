@@ -1,42 +1,17 @@
-// Runtime dispatch for the mask/SIMD slot kernels (docs/ALGORITHMS.md §9).
+// Vector-unit detection for the word kernels (docs/ALGORITHMS.md §9).
 //
-// The masked kernels are decision-for-decision identical to the scalar
-// walks — they only skip iterations the scalar loop provably no-ops on — so
-// the toggle is a pure performance switch, never a behavioral one. Three
-// layers of control, strongest first:
-//  * set_simd_mode()            — programmatic override (tests, benchmarks);
-//  * the WDM_SIMD env variable  — "off" / "0" / "scalar" forces the scalar
-//    path (the CI leg that keeps it exercised), anything else enables masks;
-//  * the default                — masked kernels on (the portable
-//    std::popcount / std::countr_zero baseline runs on every target).
-//
-// AVX2 is a second, independent layer *inside* the masked path: byte-row →
-// bit-row packing uses the vector unit when the CPU has it (detected once at
-// runtime), with bit-identical portable packing otherwise.
+// Every per-slot paper kernel runs on packed 64-bit masks with portable
+// std::popcount / std::countr_zero, on every target. AVX2 only speeds up
+// byte-row -> bit-row packing (pack_availability): the CPU is checked once
+// at runtime, and the portable packing it replaces is bit-identical.
 #pragma once
 
-#include <cstdint>
-
 namespace wdm::core {
-
-enum class SimdMode : std::uint8_t {
-  kAuto,    ///< resolve from WDM_SIMD, default = masked kernels on
-  kScalar,  ///< force the scalar reference kernels
-  kMask,    ///< force the masked (word-at-a-time) kernels
-};
-
-/// Programmatic override; kAuto returns control to the environment/default.
-void set_simd_mode(SimdMode mode) noexcept;
-SimdMode simd_mode() noexcept;
-
-/// True iff the masked kernel path is active under the current mode.
-bool simd_enabled() noexcept;
 
 /// True iff the AVX2 packing path is compiled in and the CPU supports it.
 bool avx2_available() noexcept;
 
-/// Human-readable backend for bench/report output: "scalar", "mask", or
-/// "mask+avx2".
+/// Human-readable backend for bench/report output: "mask" or "mask+avx2".
 const char* simd_backend() noexcept;
 
 }  // namespace wdm::core

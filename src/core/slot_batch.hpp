@@ -1,15 +1,13 @@
 // Structure-of-arrays slot batch (docs/ALGORITHMS.md §9).
 //
 // The distributed scheduler's partition stage is a counting sort of the
-// slot's requests into N destination subsets. The scalar path scatters
-// 24-byte AoS Request structs; the masked path scatters these parallel
-// columns instead, because the per-port hot path consumes exactly one of
-// them (the wavelength — ids never reach the matching kernels, and the
-// remaining fields are only touched by per-request validation, which reads
-// its column once). Column entries are CSR-ordered by output fiber
-// (`fiber_offsets`), arrival order preserved within a fiber — the same
-// layout contract as the AoS partition, so the per-fiber batches are
-// identical either way.
+// slot's requests into N destination subsets. It scatters these parallel
+// columns rather than 24-byte Request structs, because the per-port hot path
+// consumes exactly one of them (the wavelength — ids never reach the
+// matching kernels, and the remaining fields are only touched by
+// per-request validation, which reads its column once). Column entries are
+// CSR-ordered by output fiber (`fiber_offsets`), arrival order preserved
+// within a fiber.
 #pragma once
 
 #include <cstdint>

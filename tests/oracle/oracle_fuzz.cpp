@@ -9,10 +9,10 @@
 //    serial and pooled, the full-range rule) and must match the
 //    Hopcroft–Karp maximum on the explicit request graph exactly; the
 //    single-break approximation must stay within its Theorem-3 gap bound.
-//    Every non-full-range instance additionally runs the masked (packed
-//    64-bit word) kernels of docs/ALGORITHMS.md §9 and must reproduce the
-//    scalar assignment bit for bit — so the exhaustive small-k enumeration
-//    below is also a proof-by-enumeration that the SIMD path is exact.
+//    Every instance additionally runs the production word (packed 64-bit)
+//    kernels of docs/ALGORITHMS.md §9 and must reproduce the value-returning
+//    kernel's assignment bit for bit — so the exhaustive small-k enumeration
+//    below is also a proof-by-enumeration that the word kernels are exact.
 //    A slice of cases additionally runs DistributedScheduler::schedule_slot
 //    end-to-end under FIFO, round-robin or random arbitration with malformed
 //    requests injected, asserting the rejection contract: no decision leaves
@@ -31,11 +31,12 @@
 // channel, and fiber faults), and --exhaustive-faults-k K enumerates every
 // per-channel health vector in {healthy, converter-faulted,
 // channel-faulted}^k (plus the fiber cut) against every request vector with
-// counts in {0, 1, 2}. In both, the production fault reduction
-// (core::apply_health + the healthy-instance kernels, pre-grants folded
+// counts in {0, 1, 2}. In both, the byte fault reduction
+// (core::apply_health + the value-returning kernels, pre-grants written
 // back) must match Hopcroft–Karp on the explicit *fault-reduced* request
 // graph exactly — the degraded schedule stays a maximum matching on the
-// surviving graph.
+// surviving graph — and the production port path (core::fold_health + the
+// word kernels) must reproduce that assignment bit for bit.
 //
 // Exit status is the number of failing instances (0 = clean), so the binary
 // drops straight into ctest and the sanitizer CI jobs.
@@ -48,6 +49,7 @@
 #include "core/break_first_available.hpp"
 #include "core/distributed.hpp"
 #include "core/first_available.hpp"
+#include "core/full_range.hpp"
 #include "core/health.hpp"
 #include "core/priority.hpp"
 #include "core/request_graph.hpp"
@@ -144,22 +146,18 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
                 scheme, rv, mask);
   }
 
-  // Masked kernels (docs/ALGORITHMS.md §9): pack the same instance into the
+  // Word kernels (docs/ALGORITHMS.md §9): pack the same instance into the
   // 64-bit word layout and demand the identical assignment — same source
-  // array, not just the same cardinality. Full-range schemes dispatch to the
-  // full-range rule, which has no masked variant.
-  const bool check_masked = !scheme.is_full_range();
-  std::vector<std::uint64_t> avail_words;
-  std::vector<std::uint64_t> nonempty_words;
-  if (check_masked) {
-    avail_words.assign(core::mask_words(scheme.k()), 0);
-    nonempty_words.assign(core::mask_words(scheme.k()), 0);
-    core::pack_availability(mask, scheme.k(), avail_words.data());
-    for (core::Wavelength w = 0; w < scheme.k(); ++w) {
-      if (rv.count(w) > 0) core::mask_set(nonempty_words.data(), w);
-    }
+  // array, not just the same cardinality.
+  std::vector<std::uint64_t> avail_words(core::mask_words(scheme.k()), 0);
+  std::vector<std::uint64_t> nonempty_words(core::mask_words(scheme.k()), 0);
+  core::pack_availability(mask, scheme.k(), avail_words.data());
+  core::pack_counts(rv.counts(), scheme.k(), nonempty_words.data());
+  {
     core::ChannelAssignment masked(scheme.k());
-    if (scheme.kind() == ConversionKind::kNonCircular) {
+    if (scheme.is_full_range()) {
+      core::full_range_schedule_into(rv, avail_words, nonempty_words, masked);
+    } else if (scheme.kind() == ConversionKind::kNonCircular) {
       core::first_available_masked_into(rv, scheme, avail_words,
                                         nonempty_words, masked);
     } else {
@@ -168,7 +166,7 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
           rv, scheme, avail_words, nonempty_words, pool, scratch, masked);
     }
     if (masked.granted != kernel.granted || masked.source != kernel.source) {
-      return fail(stats, "masked kernel diverged from the scalar result",
+      return fail(stats, "word kernel diverged from the value-returning result",
                   scheme, rv, mask);
     }
   }
@@ -183,8 +181,8 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
     }
     // Theorem 3: the single-break approximation stays within its bound.
     const auto approx = core::approx_break_first_available(rv, scheme, mask);
-    // The masked approximation must pick the same break edge and produce the
-    // same schedule as the scalar one.
+    // The word approximation must pick the same break edge and produce the
+    // same schedule as the value-returning one.
     {
       core::ChannelAssignment approx_masked(scheme.k());
       const core::Channel bc = core::approx_break_first_available_masked_into(
@@ -192,7 +190,8 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
       if (bc != approx.break_channel ||
           (bc != core::kNone &&
            approx_masked.source != approx.assignment.source)) {
-        return fail(stats, "masked approx BFA diverged from the scalar result",
+        return fail(stats,
+                    "word approx BFA diverged from the value-returning result",
                     scheme, rv, mask);
       }
     }
@@ -242,9 +241,10 @@ core::HealthMask random_health(util::Rng& rng, std::int32_t k) {
   return health;
 }
 
-/// Degraded-mode differential check: the production fault reduction
-/// (core::apply_health + the healthy-instance kernels, pre-grants folded
-/// back) vs Hopcroft–Karp on the explicit fault-reduced request graph.
+/// Degraded-mode differential check: the byte fault reduction
+/// (core::apply_health + the value-returning kernels, pre-grants written
+/// back) vs Hopcroft–Karp on the explicit fault-reduced request graph, and
+/// the production port path (fault fold + word kernel) vs that assignment.
 bool check_instance_health(Stats& stats, const ConversionScheme& scheme,
                            const RequestVector& rv,
                            const std::vector<std::uint8_t>& mask,
@@ -291,6 +291,23 @@ bool check_instance_health(Stats& stats, const ConversionScheme& scheme,
     return report("reduction total " +
                   std::to_string(kernel.granted + red.pre_grant_count) +
                   " != fault-reduced maximum " + std::to_string(maximum));
+  }
+
+  // The production path: OutputPortScheduler folds the faults into the
+  // packed masks and runs the word kernel. Same channels, same pre-grants.
+  {
+    core::OutputPortScheduler port(scheme);
+    const auto production = port.assign_channels(rv, mask, health);
+    auto expected = kernel;
+    for (core::Channel u = 0; u < scheme.k(); ++u) {
+      if (red.pre_granted[static_cast<std::size_t>(u)] == 0) continue;
+      expected.source[static_cast<std::size_t>(u)] = u;
+      expected.granted += 1;
+    }
+    if (production.granted != expected.granted ||
+        production.source != expected.source) {
+      return report("fault fold + word kernel diverged from apply_health");
+    }
   }
 
   if (scheme.kind() == ConversionKind::kCircular && !scheme.is_full_range()) {

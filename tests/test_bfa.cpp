@@ -145,15 +145,15 @@ core::ChannelAssignment first_of_maximum(
 
 TEST(BfaSweep, BoundStoppedSweepIsFirstOfMaximum) {
   // Random counts and availability on every e/f split with d < k for
-  // k = 2..20, then on random splits up to k = 70: the byte and masked
-  // sweeps (pooled for some instances) must return the oracle's winner
+  // k = 2..20, then on random splits up to k = 70: the value-returning and
+  // word sweeps (pooled for some instances) must return the oracle's winner
   // exactly, and the stop bound must never undercut the Hopcroft–Karp
-  // maximum. Scratch and output persist across instances and shapes, as in
-  // a port scheduler.
+  // maximum. The word kernel's scratch and output persist across instances
+  // and shapes, as in a port scheduler.
   util::Rng rng(20031);
   util::ThreadPool pool(2);
-  core::BfaScratch byte_scratch, mask_scratch;
-  core::ChannelAssignment byte_out(1), mask_out(1);
+  core::BfaScratch mask_scratch;
+  core::ChannelAssignment mask_out(1);
   int instances = 0;
   const auto check = [&](std::int32_t k, std::int32_t e, std::int32_t f) {
     const auto scheme = ConversionScheme::circular(k, e, f);
@@ -169,8 +169,7 @@ TEST(BfaSweep, BoundStoppedSweepIsFirstOfMaximum) {
     const auto expected = first_of_maximum(rv, scheme, mask);
     util::ThreadPool* p = instances++ % 8 == 0 ? &pool : nullptr;
 
-    core::break_first_available_into(rv, scheme, mask, p, byte_scratch,
-                                     byte_out);
+    const auto byte_out = core::break_first_available(rv, scheme, mask, p);
     const std::vector<std::uint8_t> full(static_cast<std::size_t>(k), 1);
     std::vector<std::uint64_t> avail_words(core::mask_words(k), 0);
     std::vector<std::uint64_t> nonempty(core::mask_words(k), 0);

@@ -1,6 +1,7 @@
 // Fault injection and graceful degradation (PR 2).
 //
-// Covers, bottom-up: the HealthMask / apply_health reduction, the
+// Covers, bottom-up: the HealthMask / apply_health reduction and its
+// word-level form fold_health, the
 // FaultInjector's determinism contract, degraded-mode optimality of the
 // kernels through the scheduler API, interconnect teardown under kNoDisturb
 // and re-homing under kRearrange, the bounded retry queue, the fault metrics
@@ -13,6 +14,7 @@
 #include "core/health.hpp"
 #include "core/request_graph.hpp"
 #include "core/scheduler.hpp"
+#include "core/wave_mask.hpp"
 #include "graph/hopcroft_karp.hpp"
 #include "sim/faults.hpp"
 #include "sim/interconnect.hpp"
@@ -105,6 +107,108 @@ TEST(ApplyHealth, OccupiedConverterFaultedChannelNotPreGranted) {
   const auto red = core::apply_health(rv, occupied, h);
   EXPECT_EQ(red.pre_grant_count, 0);
   EXPECT_EQ(red.requests.count(0), 1);
+}
+
+// The word fold must reproduce apply_health exactly: same reduced counts,
+// availability and pre-grants. One HealthFold is reused across every
+// instance and every k, as a port scheduler reuses its scratch.
+void expect_fold_matches(const RequestVector& rv,
+                         const std::vector<std::uint8_t>& available,
+                         const HealthMask& health, core::HealthFold& fold) {
+  const std::int32_t k = rv.k();
+  const std::size_t nw = core::mask_words(k);
+  std::vector<std::uint64_t> avail_words(nw), nonempty(nw);
+  core::pack_availability(available, k, avail_words.data());
+  core::pack_counts(rv.counts(), k, nonempty.data());
+  core::fold_health(rv, avail_words, nonempty, health, fold);
+
+  const auto red = core::apply_health(rv, available, health);
+  std::vector<std::uint64_t> want_avail(nw), want_nonempty(nw), want_pre(nw);
+  core::pack_availability(red.availability, k, want_avail.data());
+  core::pack_counts(red.requests.counts(), k, want_nonempty.data());
+  core::pack_availability(red.pre_granted, k, want_pre.data());
+  ASSERT_EQ(fold.requests, red.requests);
+  ASSERT_EQ(fold.availability, want_avail);
+  ASSERT_EQ(fold.nonempty, want_nonempty);
+  ASSERT_EQ(fold.pre_granted, want_pre);
+
+  // Pre-grants land on their own wavelength, on top of a kernel result.
+  core::ChannelAssignment out(k);
+  fold.write_pre_grants(out);
+  ASSERT_EQ(out.granted, red.pre_grant_count);
+  for (core::Channel u = 0; u < k; ++u) {
+    const bool pre = red.pre_granted[static_cast<std::size_t>(u)] != 0;
+    ASSERT_EQ(out.source[static_cast<std::size_t>(u)], pre ? u : core::kNone);
+  }
+}
+
+TEST(HealthFold, MatchesApplyHealth) {
+  core::HealthFold fold;
+  // Exhaustive for k <= 4: every per-channel health state and the fiber
+  // cut, crossed with every availability mask and counts in {0, 1, 2}.
+  int instances = 0;
+  for (std::int32_t k = 1; k <= 4; ++k) {
+    const auto uk = static_cast<std::size_t>(k);
+    std::int32_t states = 1;  // 3^k
+    for (std::int32_t i = 0; i < k; ++i) states *= 3;
+    for (std::int32_t hs = 0; hs < states; ++hs) {
+      HealthMask health = HealthMask::healthy(k);
+      for (std::int32_t u = 0, code = hs; u < k; ++u, code /= 3) {
+        health.channels[static_cast<std::size_t>(u)] =
+            static_cast<ChannelHealth>(code % 3);
+      }
+      for (std::int32_t am = 0; am < (1 << k); ++am) {
+        std::vector<std::uint8_t> available(uk);
+        for (std::size_t u = 0; u < uk; ++u) {
+          available[u] = static_cast<std::uint8_t>((am >> u) & 1);
+        }
+        for (std::int32_t cs = 0; cs < states; ++cs) {
+          RequestVector rv(k);
+          for (std::int32_t w = 0, code = cs; w < k; ++w, code /= 3) {
+            rv.add(w, code % 3);
+          }
+          for (const bool cut : {false, true}) {
+            health.fiber_faulted = cut;
+            expect_fold_matches(rv, available, health, fold);
+            if (HasFatalFailure()) return;
+            instances += 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(instances,
+            2 * (3 * 3 * 2 + 9 * 9 * 4 + 27 * 27 * 8 + 81 * 81 * 16));
+
+  // Random instances up to k = 70, so the fold crosses a word boundary;
+  // some with an empty (all-free) availability mask or an empty health
+  // vector.
+  util::Rng rng(1414);
+  for (int it = 0; it < 2000; ++it) {
+    const auto k = static_cast<std::int32_t>(1 + rng.uniform_below(70));
+    RequestVector rv(k);
+    for (core::Wavelength w = 0; w < k; ++w) {
+      rv.add(w, static_cast<std::int32_t>(rng.uniform_below(4)));
+    }
+    std::vector<std::uint8_t> available;
+    if (!rng.bernoulli(0.1)) {
+      available.resize(static_cast<std::size_t>(k));
+      for (auto& a : available) a = rng.bernoulli(0.7) ? 1 : 0;
+    }
+    HealthMask health;
+    health.fiber_faulted = rng.bernoulli(0.05);
+    if (!rng.bernoulli(0.1)) {
+      health.channels.resize(static_cast<std::size_t>(k));
+      for (auto& ch : health.channels) {
+        const double u = rng.uniform01();
+        ch = u < 0.2   ? ChannelHealth::kConverterFaulted
+             : u < 0.4 ? ChannelHealth::kChannelFaulted
+                       : ChannelHealth::kHealthy;
+      }
+    }
+    expect_fold_matches(rv, available, health, fold);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ------------------------------------------------- degraded-mode optimality

@@ -17,6 +17,23 @@
 
 namespace wdm::test {
 
+/// FNV-1a over the little-endian bytes of each value added: the hash the
+/// golden decision and digest pins are recorded with.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(T v) {
+    auto bits = static_cast<std::uint64_t>(v);
+    for (std::size_t b = 0; b < sizeof(T); ++b, bits >>= 8) {
+      h_ = (h_ ^ (bits & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
 /// Random request vector mimicking a slot of Bernoulli traffic: each of
 /// n_fibers * k input channels requests this output fiber with probability p
 /// (per-wavelength counts are Binomial(n_fibers, p)).

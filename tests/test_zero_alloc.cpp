@@ -13,10 +13,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/availability.hpp"
 #include "core/distributed.hpp"
+#include "core/health.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -119,6 +121,60 @@ TEST(ZeroAlloc, SchedulerAndAvailabilityPathIsAllocationFreeWhenWarm) {
     EXPECT_EQ(after - before, 0u)
         << (circular ? "circular" : "non-circular")
         << ": the warm scheduler + availability path must not allocate";
+  }
+}
+
+TEST(ZeroAlloc, FaultedSchedulerPathIsAllocationFreeWhenWarm) {
+  // Degraded fibers fold their faults into the availability words and run
+  // the same word kernel as healthy ones, so a warm slot with converter
+  // faults, channel faults and a cut fiber allocates nothing either.
+  if (!kOptimizedBuild) GTEST_SKIP() << "debug cross-checks allocate";
+  const std::int32_t n = 16;
+  const std::int32_t k = 8;
+  const auto slots = make_slots(n, k, 64, 0.7);
+  std::vector<core::HealthMask> health(static_cast<std::size_t>(n),
+                                       core::HealthMask::healthy(k));
+  util::Rng rng(9);
+  for (auto& h : health) {
+    for (auto& ch : h.channels) {
+      const double u = rng.uniform01();
+      ch = u < 0.2   ? core::ChannelHealth::kConverterFaulted
+           : u < 0.3 ? core::ChannelHealth::kChannelFaulted
+                     : core::ChannelHealth::kHealthy;
+    }
+  }
+  health[3].fiber_faulted = true;
+  health[5] = core::HealthMask::healthy(k);
+  const std::pair<const char*, core::ConversionScheme> schemes[] = {
+      {"exact BFA", core::ConversionScheme::circular(k, 1, 1)},
+      {"First Available", core::ConversionScheme::non_circular(k, 1, 1)},
+      {"full-range", core::ConversionScheme::circular(k, 3, 4)}};
+  for (const auto& [name, scheme] : schemes) {
+    core::DistributedScheduler sched(n, scheme, core::Algorithm::kAuto,
+                                     core::Arbitration::kRandom, 5);
+    std::vector<std::uint8_t> plane(
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(k), 1);
+    for (std::size_t i = 0; i < plane.size(); i += 3) plane[i] = 0;
+    const core::AvailabilityView view(plane.data(), n, k);
+    std::vector<core::PortDecision> decisions;
+    decisions.reserve(static_cast<std::size_t>(n) *
+                      static_cast<std::size_t>(k));
+    std::uint64_t granted = 0;
+    const auto sweep = [&] {
+      for (const auto& slot : slots) {
+        decisions.resize(slot.size());
+        sched.schedule_slot_into(slot, view, &health, nullptr, decisions);
+        for (const auto& d : decisions) granted += d.granted ? 1 : 0;
+      }
+    };
+
+    sweep();  // warm-up: every port's fold scratch reaches its size
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    sweep();
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << name << ": the warm faulted scheduler path must not allocate";
+    EXPECT_GT(granted, 0u) << name;
   }
 }
 
