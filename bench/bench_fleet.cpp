@@ -1,9 +1,10 @@
-// Fleet serving throughput: shards × threads-per-shard scaling.
+// Fleet serving throughput: scaling in the number of shards.
 //
-// Drives sim::Fleet — F independent fabrics behind the slot barrier — and
-// records aggregate requests/s (offered requests carried to a decision per
-// wall-clock second, summed over shards) plus per-shard scaling efficiency:
-//     eff(F, T) = requests/s at F shards / (F × requests/s at 1 shard, same T).
+// Drives sim::Fleet — F independent fabrics behind the slot barrier, one
+// driver thread each — and records aggregate requests/s (offered requests
+// carried to a decision per wall-clock second, summed over shards) plus
+// per-shard scaling efficiency:
+//     eff(F) = requests/s at F shards / (F × requests/s at 1 shard).
 // Shards share no state, so on a host with enough cores efficiency should
 // hold ≥ 0.7 up to the physical core count; past it the shards time-slice
 // and the column records honest saturation. The host block in
@@ -11,8 +12,9 @@
 // actually had — scaling claims only apply at shards ≤ that.
 //
 // WDM_BENCH_SMOKE=1 shrinks the sweep for the CI fleet-smoke job;
-// --pin adds a pinned (cpu-affinity) variant of every cell, --shards /
-// --threads override the sweep axes (comma-separated lists).
+// --pin adds a pinned (cpu-affinity) variant of every cell, --supervise a
+// fault-free supervised one, and --shards overrides the shard axis (a
+// comma-separated list).
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -34,15 +36,13 @@ struct Measurement {
   double slots_per_s = 0.0;      ///< fleet slots (all shards advance one)
   double requests_per_s = 0.0;   ///< offered requests decided, all shards
   double granted_per_s = 0.0;
-  std::size_t group_threads = 0; ///< effective per-shard group after clamp
   bool pinned = false;
 };
 
-Measurement run_fleet(std::size_t shards, std::size_t threads, bool pin,
-                      bool supervise, std::uint64_t slots) {
+Measurement run_fleet(std::size_t shards, bool pin, bool supervise,
+                      std::uint64_t slots) {
   sim::FleetConfig cfg;
   cfg.shards = shards;
-  cfg.threads_per_shard = threads;
   cfg.pin_cpus = pin;
   // Fault-free supervised serving: measures the supervision layer's
   // steady-state overhead (richer barrier predicate, health bookkeeping) —
@@ -61,7 +61,6 @@ Measurement run_fleet(std::size_t shards, std::size_t threads, bool pin,
   fleet.reset_counters();
 
   Measurement m;
-  m.group_threads = fleet.threads_per_shard();
   m.pinned = fleet.pinned();
   // Best-of-3: the fastest sweep is the closest estimate on a shared host.
   // Request counts are identical across sweeps up to the slice boundaries,
@@ -102,8 +101,6 @@ int main(int argc, char** argv) {
   util::Cli cli("bench_fleet",
                 "sharded fleet serving throughput and scaling efficiency");
   cli.add_option("shards", "", "comma-separated shard counts (default sweep)");
-  cli.add_option("threads", "",
-                 "comma-separated threads-per-shard values (default sweep)");
   cli.add_flag("pin", "additionally measure every cell with CPU pinning");
   cli.add_flag("supervise",
                "additionally measure every cell with fault-free supervision "
@@ -115,10 +112,7 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> shard_axis =
       smoke ? std::vector<std::size_t>{1, 2}
             : std::vector<std::size_t>{1, 2, 4, 8};
-  std::vector<std::size_t> thread_axis =
-      smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{1, 2};
   if (!cli.get("shards").empty()) shard_axis = parse_list(cli.get("shards"));
-  if (!cli.get("threads").empty()) thread_axis = parse_list(cli.get("threads"));
   const std::uint64_t slots = smoke ? 400 : 4000;
 
   std::vector<bool> pin_axis = {false};
@@ -126,46 +120,38 @@ int main(int argc, char** argv) {
   std::vector<bool> supervise_axis = {false};
   if (cli.get_flag("supervise")) supervise_axis.push_back(true);
 
-  util::Table table({"shards", "thr/shard", "group", "pin", "sup", "slots/s",
-                     "req/s", "granted/s", "efficiency"});
+  util::Table table({"shards", "pin", "sup", "slots/s", "req/s", "granted/s",
+                     "efficiency"});
   bench::Json rows = bench::Json::array();
 
   for (const bool supervise : supervise_axis) {
     for (const bool pin : pin_axis) {
-      for (const std::size_t threads : thread_axis) {
-        double single_req_s = 0.0;  // 1-shard baseline for this thread count
-        for (const std::size_t shards : shard_axis) {
-          const Measurement m =
-              run_fleet(shards, threads, pin, supervise, slots);
-          if (shards == 1) single_req_s = m.requests_per_s;
-          const double efficiency =
-              (shards > 0 && single_req_s > 0.0)
-                  ? m.requests_per_s /
-                        (static_cast<double>(shards) * single_req_s)
-                  : 0.0;
-          table.add_row(
-              {util::cell(static_cast<std::int64_t>(shards)),
-               util::cell(static_cast<std::int64_t>(threads)),
-               util::cell(static_cast<std::int64_t>(m.group_threads)),
-               m.pinned ? "yes" : "no", supervise ? "yes" : "no",
-               util::cell(static_cast<std::int64_t>(m.slots_per_s)),
-               util::cell(static_cast<std::int64_t>(m.requests_per_s)),
-               util::cell(static_cast<std::int64_t>(m.granted_per_s)),
-               util::cell(efficiency, 3)});
-          bench::Json row = bench::Json::object();
-          row.set("shards", static_cast<std::uint64_t>(shards))
-              .set("threads_per_shard", static_cast<std::uint64_t>(threads))
-              .set("group_threads",
-                   static_cast<std::uint64_t>(m.group_threads))
-              .set("pinned", m.pinned)
-              .set("supervised", supervise)
-              .set("slots", slots)
-              .set("slots_per_s", m.slots_per_s)
-              .set("requests_per_s", m.requests_per_s)
-              .set("granted_per_s", m.granted_per_s)
-              .set("efficiency", efficiency);
-          rows.push(std::move(row));
-        }
+      double single_req_s = 0.0;  // 1-shard baseline
+      for (const std::size_t shards : shard_axis) {
+        const Measurement m = run_fleet(shards, pin, supervise, slots);
+        if (shards == 1) single_req_s = m.requests_per_s;
+        const double efficiency =
+            (shards > 0 && single_req_s > 0.0)
+                ? m.requests_per_s /
+                      (static_cast<double>(shards) * single_req_s)
+                : 0.0;
+        table.add_row(
+            {util::cell(static_cast<std::int64_t>(shards)),
+             m.pinned ? "yes" : "no", supervise ? "yes" : "no",
+             util::cell(static_cast<std::int64_t>(m.slots_per_s)),
+             util::cell(static_cast<std::int64_t>(m.requests_per_s)),
+             util::cell(static_cast<std::int64_t>(m.granted_per_s)),
+             util::cell(efficiency, 3)});
+        bench::Json row = bench::Json::object();
+        row.set("shards", static_cast<std::uint64_t>(shards))
+            .set("pinned", m.pinned)
+            .set("supervised", supervise)
+            .set("slots", slots)
+            .set("slots_per_s", m.slots_per_s)
+            .set("requests_per_s", m.requests_per_s)
+            .set("granted_per_s", m.granted_per_s)
+            .set("efficiency", efficiency);
+        rows.push(std::move(row));
       }
     }
   }

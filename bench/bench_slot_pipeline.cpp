@@ -15,9 +15,6 @@
 // untraced column at slot granularity, and the untraced column is the one
 // bench_report.py regresses against.
 //
-// A step_batch window of 8 slots is measured too (the amortized-validation
-// variant).
-//
 // WDM_BENCH_SMOKE=1 shrinks the matrix and slot counts for CI smoke runs.
 #include <algorithm>
 #include <atomic>
@@ -207,53 +204,6 @@ Measurement run_scheduler_path(
   return m;
 }
 
-/// Full pipeline driven through step_batch in windows of `window` slots
-/// (bit-identical to serial step(); the measurement is the amortization).
-Measurement run_batch(std::int32_t n, std::int32_t k, bool circular,
-                      const std::vector<std::vector<core::SlotRequest>>& slots,
-                      std::size_t window) {
-  sim::InterconnectConfig cfg;
-  cfg.n_fibers = n;
-  cfg.scheme = circular ? core::ConversionScheme::circular(k, 1, 1)
-                        : core::ConversionScheme::non_circular(k, 1, 1);
-  cfg.arbitration = core::Arbitration::kFifo;
-  cfg.seed = 5;
-  sim::Interconnect ic(cfg);
-
-  Measurement m;
-  const std::span<const std::vector<core::SlotRequest>> all(slots);
-  const auto sweep = [&] {
-    std::uint64_t grants = 0;
-    for (std::size_t lo = 0; lo < all.size(); lo += window) {
-      const std::size_t len = std::min(window, all.size() - lo);
-      grants += ic.step_batch(all.subspan(lo, len)).granted;
-    }
-    return grants;
-  };
-
-  m.grants += sweep();  // warm-up
-  const AllocSnapshot before = AllocSnapshot::take();
-  double elapsed = 0.0;
-  AllocSnapshot after = before;
-  for (int rep = 0; rep < 3; ++rep) {
-    const util::Stopwatch clock;
-    m.grants += sweep();
-    const double sweep_s = clock.elapsed_s();
-    if (rep == 0) {
-      elapsed = sweep_s;
-      after = AllocSnapshot::take();
-    } else {
-      elapsed = std::min(elapsed, sweep_s);
-    }
-  }
-
-  const double n_slots = static_cast<double>(slots.size());
-  m.slots_per_s = n_slots / elapsed;
-  m.allocs_per_slot = static_cast<double>(after.allocs - before.allocs) / n_slots;
-  m.bytes_per_slot = static_cast<double>(after.bytes - before.bytes) / n_slots;
-  return m;
-}
-
 std::size_t slots_for(std::int32_t n, std::int32_t k, bool smoke) {
   if (smoke) return 200;
   const std::size_t budget = 2'000'000;
@@ -297,11 +247,10 @@ int main(int argc, char** argv) {
   }
   const double load = 0.7;
 
-  util::Table table({"N", "k", "scheme", "slots/s", "batch slots/s",
-                     "sched slots/s", "allocs/slot", "traced slots/s"});
+  util::Table table({"N", "k", "scheme", "slots/s", "sched slots/s",
+                     "allocs/slot", "traced slots/s"});
   bench::Json configs = bench::Json::array();
   std::uint64_t sink = 0;
-  constexpr std::size_t kBatchWindow = 8;
 
   for (const std::int32_t n : ns) {
     for (const std::int32_t k : ks) {
@@ -311,17 +260,14 @@ int main(int argc, char** argv) {
         // The full pipeline: the column bench_report.py regresses against.
         const Measurement full = run_interconnect(n, k, circular, slots);
         const Measurement sched = run_scheduler_path(n, k, circular, slots);
-        const Measurement batch =
-            run_batch(n, k, circular, slots, kBatchWindow);
         obs::TraceRecorder recorder(*detail);
         const Measurement traced = run_interconnect(
             n, k, circular, slots,
             *detail == obs::TraceDetail::kOff ? nullptr : &recorder);
-        sink += full.grants + sched.grants + batch.grants + traced.grants;
+        sink += full.grants + sched.grants + traced.grants;
         table.add_row({util::cell(n), util::cell(k),
                        circular ? "circular" : "non-circular",
                        util::cell(static_cast<std::int64_t>(full.slots_per_s)),
-                       util::cell(static_cast<std::int64_t>(batch.slots_per_s)),
                        util::cell(static_cast<std::int64_t>(sched.slots_per_s)),
                        util::cell(full.allocs_per_slot, 4),
                        util::cell(static_cast<std::int64_t>(traced.slots_per_s))});
@@ -333,8 +279,6 @@ int main(int argc, char** argv) {
             .set("slots_per_s", full.slots_per_s)
             .set("allocs_per_slot", full.allocs_per_slot)
             .set("bytes_per_slot", full.bytes_per_slot)
-            .set("batch_slots_per_s", batch.slots_per_s)
-            .set("batch_allocs_per_slot", batch.allocs_per_slot)
             .set("scheduler_slots_per_s", sched.slots_per_s)
             .set("scheduler_allocs_per_slot", sched.allocs_per_slot)
             .set("scheduler_bytes_per_slot", sched.bytes_per_slot)
@@ -356,7 +300,6 @@ int main(int argc, char** argv) {
       .set("smoke", smoke)
       .set("trace_detail", cli.get("trace-detail"))
       .set("simd_backend", core::simd_backend())
-      .set("batch_window", static_cast<std::uint64_t>(kBatchWindow))
       .set("configs", std::move(configs));
   bench::write_bench_json("slot_pipeline", root);
   return 0;

@@ -83,13 +83,11 @@ int main(int argc, char** argv) {
   cli.add_option("slots", "1000", "measured slots");
   cli.add_option("warmup", "100", "warm-up slots discarded from metrics");
   cli.add_option("seed", "1", "master seed");
-  cli.add_option("threads", "0", "worker threads; 0 runs serially");
   cli.add_option("shards", "0",
-                 "serve this many independent fabrics as a sim::Fleet "
-                 "(0 = classic single-fabric path); --threads becomes "
-                 "threads per shard group, clamped to the host");
+                 "serve this many independent fabrics as a sim::Fleet, one "
+                 "driver thread each (0 = classic single-fabric path)");
   cli.add_flag("pin-cpus",
-               "pin each shard group to a contiguous CPU block "
+               "pin shard i's driver to CPU i mod the available CPUs "
                "(fleet mode only; decisions and digests are unchanged)");
   cli.add_flag("supervise",
                "self-healing fleet mode: quarantine + restart crashed "
@@ -251,8 +249,6 @@ int main(int argc, char** argv) {
     }
     sim::FleetConfig fcfg;
     fcfg.shards = shards;
-    fcfg.threads_per_shard =
-        static_cast<std::size_t>(cli.get_int("threads"));
     fcfg.pin_cpus = cli.get_flag("pin-cpus");
     fcfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     fcfg.interconnect = icfg;
@@ -366,8 +362,7 @@ int main(int argc, char** argv) {
     const double wall_s = clock.elapsed_s();
 
     const sim::MetricsCollector merged = fleet.merged_metrics();
-    std::cout << "shards=" << fleet.shards() << " threads/shard="
-              << fleet.threads_per_shard() << " pinned="
+    std::cout << "shards=" << fleet.shards() << " pinned="
               << (fleet.pinned() ? "yes" : "no") << "\n";
     if (fcfg.supervision.enabled) {
       for (std::size_t i = 0; i < fleet.shards(); ++i) {
@@ -429,12 +424,6 @@ int main(int argc, char** argv) {
       *detail, static_cast<std::size_t>(cli.get_int("trace-capacity")));
   interconnect.set_telemetry(*detail == obs::TraceDetail::kOff ? nullptr
                                                                : &recorder);
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (cli.get_int("threads") > 0) {
-    pool = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(cli.get_int("threads")));
-  }
 
   const auto warmup = static_cast<std::uint64_t>(cli.get_int("warmup"));
   const auto slots = static_cast<std::uint64_t>(cli.get_int("slots"));
@@ -502,7 +491,7 @@ int main(int argc, char** argv) {
   const util::Stopwatch clock;
   for (std::uint64_t slot = start_slot; slot < warmup + slots; ++slot) {
     const auto arrivals = traffic.next_slot(interconnect.input_channel_busy());
-    const sim::SlotStats stats = interconnect.step(arrivals, pool.get());
+    const sim::SlotStats stats = interconnect.step(arrivals);
     if (store && interconnect.current_slot() % checkpoint_every == 0) {
       store->write(interconnect, &traffic);
     }

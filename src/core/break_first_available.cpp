@@ -97,58 +97,47 @@ std::int32_t vertex_bound(const RequestVector& requests,
 
 /// The exhaustive Table-3 sweep over w_i's free adjacent channels, shared by
 /// the byte spec and the word kernel: run(u, out) schedules the candidate
-/// breaking at channel u. It stops once the best candidate so far reaches
-/// min(requests, free channels), or else adjacent_vertex_bound; the first
-/// candidate to reach an upper bound on the maximum is the first of maximum
-/// size, so the winner is unchanged.
+/// breaking at channel u. The first candidate runs straight into `out`; each
+/// later one runs into the scratch candidate and is swapped in only when it
+/// grants strictly more, so `out` is always the first candidate of maximum
+/// size so far. The sweep stops once that reaches min(requests, free
+/// channels), or else adjacent_vertex_bound; the first candidate to reach an
+/// upper bound on the maximum is the first of maximum size, so the winner is
+/// unchanged.
 template <typename FreeFn, typename RunFn>
 void sweep_breaks(const RequestVector& requests, const ConversionScheme& scheme,
                   Wavelength w_i, FreeFn&& is_free, RunFn&& run,
-                  util::ThreadPool* pool, BfaScratch& scratch,
-                  ChannelAssignment& out) {
-  const std::int32_t k = scheme.k();
-  std::vector<Channel>& candidates = scratch.candidates;
-  std::vector<ChannelAssignment>& results = scratch.results;
-  candidates.clear();
+                  BfaScratch& scratch, ChannelAssignment& out) {
   const std::int32_t deg = scheme.adjacency_count(w_i);
-  for (std::int32_t idx = 0; idx < deg; ++idx) {
+  std::int32_t idx = 0;
+  while (!is_free(scheme.adjacency_at(w_i, idx))) {
+    ++idx;
+    WDM_DCHECK(idx < deg);
+  }
+  run(scheme.adjacency_at(w_i, idx), out);
+
+  std::int32_t bound = -1;  // computed once a second candidate exists
+  for (++idx; idx < deg; ++idx) {
     const Channel u = scheme.adjacency_at(w_i, idx);
-    if (is_free(u)) candidates.push_back(u);
-  }
-  WDM_DCHECK(!candidates.empty());
-
-  // Grow-only: keep previously warmed assignments alive; each candidate run
-  // resets its slot in place, so no per-slot allocation once warm.
-  const std::size_t n = candidates.size();
-  if (results.size() < n) results.resize(n, ChannelAssignment(k));
-  const auto run_candidate = [&](std::size_t idx) {
-    run(candidates[idx], results[idx]);
-  };
-  const bool parallel = pool != nullptr && n > 1;
-  if (parallel) {
-    pool->parallel_for(0, n, run_candidate);
-  } else {
-    run_candidate(0);
-  }
-
-  std::size_t best = 0;
-  if (n > 1) {
-    std::int32_t free_channels = 0;
-    for (Channel v = 0; v < k; ++v) free_channels += is_free(v) ? 1 : 0;
-    std::int32_t bound = std::min(requests.total(), free_channels);
-    if (results[0].granted < bound) {
-      bound = vertex_bound(requests, scheme, is_free);
+    if (!is_free(u)) continue;
+    if (bound < 0) {
+      std::int32_t free_channels = 0;
+      for (Channel v = 0; v < scheme.k(); ++v) {
+        free_channels += is_free(v) ? 1 : 0;
+      }
+      bound = std::min(requests.total(), free_channels);
+      if (out.granted < bound) bound = vertex_bound(requests, scheme, is_free);
     }
-    for (std::size_t idx = 1; idx < n && results[best].granted < bound;
-         ++idx) {
-      if (!parallel) run_candidate(idx);
-      if (results[idx].granted > results[best].granted) best = idx;
+    if (out.granted >= bound) break;
+    ChannelAssignment& cand = scratch.candidate;
+    run(u, cand);
+    if (cand.granted > out.granted) {
+      // Swap buffers rather than copy; both stay warm, so the next call's
+      // in-place resets still never allocate.
+      out.source.swap(cand.source);
+      out.granted = cand.granted;
     }
   }
-  // Hand the winner over by swapping buffers; both stay warm, so the next
-  // call's in-place resets still never allocate.
-  out.source.swap(results[best].source);
-  out.granted = results[best].granted;
 }
 
 /// The Section IV.C break: w_i's free adjacent channel with the smallest
@@ -266,8 +255,7 @@ ChannelAssignment bfa_single_break(const RequestVector& requests,
 
 ChannelAssignment break_first_available(const RequestVector& requests,
                                         const ConversionScheme& scheme,
-                                        std::span<const std::uint8_t> available,
-                                        util::ThreadPool* pool) {
+                                        std::span<const std::uint8_t> available) {
   validate_inputs(requests, scheme, available);
   ChannelAssignment out(scheme.k());
   const Wavelength w_i = pick_breaking_wavelength(requests, scheme, available);
@@ -280,7 +268,7 @@ ChannelAssignment break_first_available(const RequestVector& requests,
       [&](Channel u, ChannelAssignment& cand) {
         single_break_unchecked(requests, scheme, available, w_i, u, cand);
       },
-      pool, scratch, out);
+      scratch, out);
   return out;
 }
 
@@ -430,8 +418,8 @@ void single_break_masked(const RequestVector& requests,
 void break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, util::ThreadPool* pool,
-    BfaScratch& scratch, ChannelAssignment& out) {
+    std::span<const std::uint64_t> nonempty_words, BfaScratch& scratch,
+    ChannelAssignment& out) {
   validate_masked_inputs(requests, scheme, avail_words, nonempty_words);
   const std::uint64_t* avail = avail_words.data();
   const std::uint64_t* nonempty = nonempty_words.data();
@@ -447,7 +435,7 @@ void break_first_available_masked_into(
       [&](Channel u, ChannelAssignment& cand) {
         single_break_masked(requests, scheme, avail, nonempty, w_i, u, cand);
       },
-      pool, scratch, out);
+      scratch, out);
 }
 
 Channel approx_break_first_available_masked_into(

@@ -6,8 +6,10 @@
 // runs First Available on each staircase-convex reduced graph, and keeps the
 // largest matching plus the breaking edge. By Lemmas 3 and 4 this is exact.
 //
-// The d single-break schedules are independent, so they can run concurrently
-// ("d units of hardware" in the paper); pass a ThreadPool to do so.
+// The d single-break schedules are independent, so in hardware they run
+// side by side ("d units of hardware" in the paper, Theorem 2: O(k) with
+// d-way parallelism); src/hw models that critical path. In software the
+// sweep runs them one after another and stops early at an upper bound.
 //
 // The approximation skips the exhaustive sweep and breaks only at the edge
 // whose Theorem-3 gap bound max{δ(u)-1, d-δ(u)} is smallest — δ(u)=(d+1)/2,
@@ -17,34 +19,30 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/channel_assignment.hpp"
 #include "core/conversion.hpp"
 #include "core/request.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm::core {
 
-/// Reusable per-candidate buffers for the exhaustive sweep. Owned by the
-/// caller (OutputPortScheduler keeps one per port) so that in steady state
-/// the d candidate schedules of every slot run entirely in warm memory.
+/// Reusable candidate buffer for the exhaustive sweep. Owned by the caller
+/// (OutputPortScheduler keeps one per port) so that in steady state the d
+/// candidate schedules of every slot run entirely in warm memory: the best
+/// candidate so far lives in the output assignment, the current one here.
 struct BfaScratch {
-  std::vector<Channel> candidates;          ///< available breaking channels
-  std::vector<ChannelAssignment> results;   ///< one assignment per candidate
+  ChannelAssignment candidate{0};  ///< the candidate being scheduled
 };
 
 /// Exact maximum-matching schedule for a circular, non-full-range scheme.
-/// `available` is a size-k mask (1 = free); empty means all free. If `pool`
-/// is non-null the d candidate breaks run on it in parallel. The result is
+/// `available` is a size-k mask (1 = free); empty means all free. The result is
 /// the first candidate (minus-side order) of maximum size; the sweep stops
 /// at the first candidate that reaches adjacent_vertex_bound, which is that
 /// candidate. The executable specification of Table 3 (byte masks, one step
 /// per channel); the word kernels below are pinned against it.
 ChannelAssignment break_first_available(const RequestVector& requests,
                                         const ConversionScheme& scheme,
-                                        std::span<const std::uint8_t> available = {},
-                                        util::ThreadPool* pool = nullptr);
+                                        std::span<const std::uint8_t> available = {});
 
 /// Upper bound on any matching of the instance: the smaller of the number
 /// of requests with a free adjacent channel and the number of free channels
@@ -94,8 +92,8 @@ ApproxBfaResult approx_break_first_available(
 void break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, util::ThreadPool* pool,
-    BfaScratch& scratch, ChannelAssignment& out);
+    std::span<const std::uint64_t> nonempty_words, BfaScratch& scratch,
+    ChannelAssignment& out);
 
 /// Section IV.C approximation, identical break choice and schedule to
 /// approx_break_first_available; returns the chosen break channel (kNone

@@ -37,8 +37,8 @@ void DistributedScheduler::reserve_batches(std::size_t max_requests_per_slot) {
 template <typename RowFn, typename BitsFn>
 void DistributedScheduler::schedule_slot_impl(
     std::span<const SlotRequest> requests, RowFn&& row_of, BitsFn&& bits_of,
-    const std::vector<HealthMask>* health, util::ThreadPool* pool,
-    std::span<PortDecision> decisions, SlotBudget* budget) {
+    const std::vector<HealthMask>* health, SlotBudget* budget,
+    std::span<PortDecision> decisions) {
   const auto n_fibers = static_cast<std::size_t>(n_output_fibers());
   std::fill(decisions.begin(), decisions.end(), PortDecision{});
 
@@ -111,8 +111,8 @@ void DistributedScheduler::schedule_slot_impl(
   }
 
   // Deadline-bounded degradation plan. The op-budget decisions are made here,
-  // serially and in charge order, *before* any scheduling work: the same slot
-  // degrades the same ports whether or not a pool is attached. Wall-clock
+  // in charge order, *before* any scheduling work, so which ports degrade
+  // depends on the budget and the partition alone. Wall-clock
   // deadlines never reach this layer — the interconnect judges the whole
   // step and feeds the verdict back through force_degraded.
   const bool budgeted = budget != nullptr && budget->active();
@@ -151,18 +151,14 @@ void DistributedScheduler::schedule_slot_impl(
     }
   }
 
-  // Per-fiber trace staging: one preallocated slot per fiber, written by
-  // exactly the worker that schedules that fiber, merged after the join.
-  // No locks, and (capacity persisting across slots) no steady-state
-  // allocation on the warm path.
   const bool trace_fibers =
       telemetry_ != nullptr && telemetry_->at(obs::TraceDetail::kFibers);
-  if (trace_fibers) fiber_events_.assign(n_fibers, obs::TraceEvent{});
-
-  const auto schedule_fiber = [&](std::size_t fiber) {
+  const obs::StageTimer fanout_timer(telemetry_, obs::Stage::kFanout,
+                                     trace_slot_);
+  for (std::size_t fiber = 0; fiber < n_fibers; ++fiber) {
     const std::size_t lo = soa_.fiber_offsets[fiber];
     const std::size_t hi = soa_.fiber_offsets[fiber + 1];
-    if (lo == hi) return;
+    if (lo == hi) continue;
     const std::uint64_t fiber_t0 = trace_fibers ? util::now_ns() : 0;
     const std::span<PortDecision> staged{csr_decisions_.data() + lo, hi - lo};
     const HealthMask* fiber_health =
@@ -195,7 +191,7 @@ void DistributedScheduler::schedule_slot_impl(
       }
     }
     if (trace_fibers) {
-      obs::TraceEvent& e = fiber_events_[fiber];
+      obs::TraceEvent e;
       e.ts_ns = fiber_t0;
       e.dur_ns = util::now_ns() - fiber_t0;
       e.slot = trace_slot_;
@@ -204,28 +200,15 @@ void DistributedScheduler::schedule_slot_impl(
       e.fiber = static_cast<std::int32_t>(fiber);
       e.kind = obs::EventKind::kFiberSchedule;
       e.detail = degraded ? 1 : 0;
-      e.tid = util::ThreadPool::worker_index();
-    }
-  };
-
-  {
-    const obs::StageTimer fanout_timer(telemetry_, obs::Stage::kFanout,
-                                       trace_slot_);
-    if (pool != nullptr) {
-      pool->parallel_for(0, n_fibers, schedule_fiber);
-    } else {
-      for (std::size_t fiber = 0; fiber < n_fibers; ++fiber) {
-        schedule_fiber(fiber);
-      }
+      telemetry_->record(e);
     }
   }
-  if (trace_fibers) telemetry_->append(fiber_events_);
 }
 
 std::vector<PortDecision> DistributedScheduler::schedule_slot(
     std::span<const SlotRequest> requests,
     const std::vector<std::vector<std::uint8_t>>* availability,
-    const std::vector<HealthMask>* health, util::ThreadPool* pool) {
+    const std::vector<HealthMask>* health) {
   std::vector<PortDecision> decisions(requests.size());
   if (availability != nullptr &&
       availability->size() != static_cast<std::size_t>(n_output_fibers())) {
@@ -244,15 +227,14 @@ std::vector<PortDecision> DistributedScheduler::schedule_slot(
   const auto no_bits = [](std::size_t) {
     return std::span<const std::uint64_t>{};
   };
-  schedule_slot_impl(requests, row_of, no_bits, health, pool, decisions,
-                     nullptr);
+  schedule_slot_impl(requests, row_of, no_bits, health, nullptr, decisions);
   return decisions;
 }
 
 void DistributedScheduler::schedule_slot_into(
     std::span<const SlotRequest> requests, AvailabilityView availability,
-    const std::vector<HealthMask>* health, util::ThreadPool* pool,
-    std::span<PortDecision> decisions, SlotBudget* budget) {
+    const std::vector<HealthMask>* health, SlotBudget* budget,
+    std::span<PortDecision> decisions) {
   WDM_CHECK_MSG(decisions.size() == requests.size(),
                 "one decision slot per request");
   if (!availability.empty() && (availability.n_fibers() != n_output_fibers() ||
@@ -272,8 +254,7 @@ void DistributedScheduler::schedule_slot_into(
                ? std::span<const std::uint64_t>{}
                : availability.bits_row(static_cast<std::int32_t>(fiber));
   };
-  schedule_slot_impl(requests, row_of, bits_of, health, pool, decisions,
-                     budget);
+  schedule_slot_impl(requests, row_of, bits_of, health, budget, decisions);
 }
 
 void DistributedScheduler::save_state(util::SnapshotWriter& w) const {

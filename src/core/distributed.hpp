@@ -2,9 +2,12 @@
 //
 // The decisions for different output fibers are independent — no request
 // belongs to two destination subsets — so a slot's schedule is N independent
-// per-fiber schedules. In a switch these run on per-fiber hardware; here they
-// run serially or on a thread pool, and the per-slot work stays O(k) / O(dk)
-// per fiber regardless of N (the property experiment E2 measures).
+// per-fiber schedules. In a switch these run side by side on per-fiber
+// hardware (src/hw models one such port); here they run one after another on
+// the caller's thread, and the per-slot work stays O(k) / O(dk) per fiber
+// regardless of N (the property experiment E2 measures). Software
+// parallelism is one level up: sim::Fleet runs whole fabrics, one per
+// driver thread.
 //
 // A slot is partitioned once into SoA columns (core/slot_batch.hpp), and
 // every fiber, healthy or faulted, runs the same port pass on them
@@ -22,7 +25,6 @@
 #include "core/scheduler.hpp"
 #include "core/slot_batch.hpp"
 #include "obs/telemetry.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm::core {
 
@@ -47,8 +49,8 @@ struct SlotRequest {
 /// the exact circular BFA sweep and k for every O(k) kernel (FA, the
 /// single-break approximation, full-range). Ports whose exact cost no longer
 /// fits are downgraded in charge order — deterministically, before any
-/// scheduling work runs, so the same slot degrades the same ports with or
-/// without a thread pool. The wall-clock slot deadline lives one layer up
+/// scheduling work runs, so the same slot always degrades the same ports.
+/// The wall-clock slot deadline lives one layer up
 /// (sim::Interconnect judges the whole step against it and latches
 /// force_degraded for the following slots), keeping this budget — and thus
 /// every per-fiber decision — free of clock reads.
@@ -109,8 +111,8 @@ class DistributedScheduler {
   /// holds one HealthMask per output fiber (hardware faults): requests to a
   /// faulted fiber are rejected with RejectReason::kFaulted, and channel /
   /// converter faults shrink each fiber's matching to the surviving request
-  /// graph while staying maximum on it. If `pool` is non-null the per-fiber
-  /// schedules run concurrently. The result is parallel to `requests`.
+  /// graph while staying maximum on it. The result is parallel to
+  /// `requests`.
   ///
   /// Robustness contract: malformed inputs (out-of-range fiber or wavelength,
   /// nonpositive duration, negative priority, wrong-shaped availability or
@@ -120,8 +122,7 @@ class DistributedScheduler {
   std::vector<PortDecision> schedule_slot(
       std::span<const SlotRequest> requests,
       const std::vector<std::vector<std::uint8_t>>* availability = nullptr,
-      const std::vector<HealthMask>* health = nullptr,
-      util::ThreadPool* pool = nullptr);
+      const std::vector<HealthMask>* health = nullptr);
 
   /// As schedule_slot, with a flat N×k availability plane and caller-owned
   /// decisions (one entry per request). Decision-for-decision identical to
@@ -130,7 +131,7 @@ class DistributedScheduler {
   /// state performs zero heap allocations. An empty view means all free; a
   /// view whose shape disagrees with (N, k) rejects every request with
   /// kBadAvailabilityMask, mirroring the nested-vector overload.
-  /// `budget`, if non-null, applies deadline-bounded degradation: ports the
+  /// `health` as in schedule_slot. `budget`, if non-null, applies deadline-bounded degradation: ports the
   /// slot's remaining budget cannot schedule exactly fall back to the O(k)
   /// approximation (SlotBudget above; a no-op for ports that are not
   /// degradable()). Grants stay a valid matching either way — degradation
@@ -138,9 +139,8 @@ class DistributedScheduler {
   void schedule_slot_into(std::span<const SlotRequest> requests,
                           AvailabilityView availability,
                           const std::vector<HealthMask>* health,
-                          util::ThreadPool* pool,
-                          std::span<PortDecision> decisions,
-                          SlotBudget* budget = nullptr);
+                          SlotBudget* budget,
+                          std::span<PortDecision> decisions);
 
   /// Checkpoint of every port's mutable state (arbitration RNGs, round-robin
   /// cursors), in fiber order.
@@ -149,10 +149,9 @@ class DistributedScheduler {
 
   /// Attaches (or detaches, with nullptr) a trace recorder. The scheduler
   /// records kStage spans for its partition and fan-out phases at kSlots
-  /// detail, and one kFiberSchedule span per scheduled fiber at kFibers —
-  /// staged in a preallocated per-fiber array (each entry written by the one
-  /// worker that owns that fiber) and merged after the join, so tracing adds
-  /// no locks and no allocations to the warm path. Telemetry never alters
+  /// detail, and one kFiberSchedule span per scheduled fiber at kFibers,
+  /// recorded straight into the ring as the fan-out reaches that fiber, so
+  /// tracing adds no allocations to the warm path. Telemetry never alters
   /// decisions or RNG streams, and none of it enters save_state.
   void set_telemetry(obs::TraceRecorder* recorder) noexcept {
     telemetry_ = recorder;
@@ -169,9 +168,8 @@ class DistributedScheduler {
   void schedule_slot_impl(std::span<const SlotRequest> requests, RowFn&& row_of,
                           BitsFn&& bits_of,
                           const std::vector<HealthMask>* health,
-                          util::ThreadPool* pool,
-                          std::span<PortDecision> decisions,
-                          SlotBudget* budget);
+                          SlotBudget* budget,
+                          std::span<PortDecision> decisions);
 
   ConversionScheme scheme_;
   std::vector<OutputPortScheduler> ports_;
@@ -188,7 +186,6 @@ class DistributedScheduler {
 
   obs::TraceRecorder* telemetry_ = nullptr;
   std::uint64_t trace_slot_ = 0;
-  std::vector<obs::TraceEvent> fiber_events_;  // per-fiber staging, size N
 };
 
 }  // namespace wdm::core

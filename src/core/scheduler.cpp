@@ -96,13 +96,11 @@ RejectReason validate_request(const Request& r, std::int32_t k) noexcept {
 OutputPortScheduler::OutputPortScheduler(ConversionScheme scheme,
                                          Algorithm algorithm,
                                          Arbitration arbitration,
-                                         std::uint64_t seed,
-                                         util::ThreadPool* pool)
+                                         std::uint64_t seed)
     : scheme_(std::move(scheme)),
       algorithm_(resolve(algorithm, scheme_)),
       arbitration_(arbitration),
       rng_(seed),
-      pool_(pool),
       converter_budget_(scheme_.k()),
       rr_cursor_(static_cast<std::size_t>(scheme_.k()), 0),
       rv_scratch_(scheme_.k()),
@@ -146,7 +144,7 @@ ChannelAssignment OutputPortScheduler::assign_channels(
     case Algorithm::kFirstAvailable:
       return first_available(requests, scheme_, available);
     case Algorithm::kBreakFirstAvailable:
-      return break_first_available(requests, scheme_, available, pool_);
+      return break_first_available(requests, scheme_, available);
     case Algorithm::kApproxBfa:
       return approx_break_first_available(requests, scheme_, available)
           .assignment;
@@ -284,7 +282,7 @@ void OutputPortScheduler::run_kernel(const RequestVector& requests,
     case Algorithm::kBreakFirstAvailable:
       if (!degraded) {
         break_first_available_masked_into(*rv, scheme_, avail_words, nonempty,
-                                          pool_, bfa_scratch_, out);
+                                          bfa_scratch_, out);
         break;
       }
       // Overload degeneration: the Theorem-1 ladder — one break instead of

@@ -26,7 +26,6 @@
 #include "core/request.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm::core {
 
@@ -103,12 +102,10 @@ RejectReason validate_request(const Request& r, std::int32_t k) noexcept;
 
 class OutputPortScheduler {
  public:
-  /// `pool`, if given, parallelises BFA's d candidate breaks.
   explicit OutputPortScheduler(ConversionScheme scheme,
                                Algorithm algorithm = Algorithm::kAuto,
                                Arbitration arbitration = Arbitration::kRoundRobin,
-                               std::uint64_t seed = 1,
-                               util::ThreadPool* pool = nullptr);
+                               std::uint64_t seed = 1);
 
   const ConversionScheme& scheme() const noexcept { return scheme_; }
   /// The concrete algorithm after kAuto resolution.
@@ -237,7 +234,6 @@ class OutputPortScheduler {
   Algorithm algorithm_;
   Arbitration arbitration_;
   util::Rng rng_;
-  util::ThreadPool* pool_;
   std::int32_t converter_budget_;
   std::vector<std::uint32_t> rr_cursor_;  // per-wavelength round-robin state
 

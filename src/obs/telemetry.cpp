@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -110,19 +109,15 @@ void begin_record(std::ostream& os, bool& first) {
   first = false;
 }
 
-void emit_process_metadata(std::ostream& os, bool& first) {
+/// Process and thread names. A fabric's slot runs on one thread, so every
+/// event sits on the single "slot-loop" thread, tid 0.
+void emit_metadata(std::ostream& os, bool& first) {
   begin_record(os, first);
   os << "\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
         "\"args\": {\"name\": \"wdm-interconnect\"}}";
-}
-
-void emit_thread_metadata(std::ostream& os, bool& first, std::uint16_t tid) {
   begin_record(os, first);
-  os << "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": "
-     << tid << ", \"args\": {\"name\": \""
-     << (tid == 0 ? std::string("slot-loop")
-                  : "worker " + std::to_string(tid))
-     << "\"}}";
+  os << "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
+        "\"args\": {\"name\": \"slot-loop\"}}";
 }
 
 void emit_event(std::ostream& os, bool& first, const TraceEvent& e,
@@ -158,7 +153,7 @@ void emit_event(std::ostream& os, bool& first, const TraceEvent& e,
   os << "\"name\": \"" << name << "\", \"cat\": \"" << cat
      << "\", \"ph\": \"" << (span ? "X" : "i") << "\", ";
   if (!span) os << "\"s\": \"t\", ";
-  os << "\"pid\": 0, \"tid\": " << e.tid << ", \"ts\": "
+  os << "\"pid\": 0, \"tid\": 0, \"ts\": "
      << us(e.ts_ns > t0 ? e.ts_ns - t0 : 0);
   if (span) os << ", \"dur\": " << us(e.dur_ns);
   os << ", \"args\": {\"slot\": " << e.slot;
@@ -220,18 +215,12 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
 
 void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events) {
   std::uint64_t t0 = ~0ULL;
-  std::set<std::uint16_t> tids;
-  for (const auto& e : events) {
-    if (e.ts_ns < t0) t0 = e.ts_ns;
-    tids.insert(e.tid);
-  }
+  for (const auto& e : events) t0 = std::min(t0, e.ts_ns);
   if (events.empty()) t0 = 0;
-  tids.insert(0);
 
   os << "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [";
   bool first = true;
-  emit_process_metadata(os, first);
-  for (const std::uint16_t tid : tids) emit_thread_metadata(os, first, tid);
+  emit_metadata(os, first);
   for (const auto& e : events) emit_event(os, first, e, t0);
   os << "\n  ]\n}\n";
 }
@@ -252,14 +241,16 @@ ChromeTraceSegmentWriter::~ChromeTraceSegmentWriter() {
 
 void ChromeTraceSegmentWriter::open_segment() {
   std::string path = base_path_;
-  if (!paths_.empty()) path += "." + std::to_string(paths_.size());
+  if (!paths_.empty()) {
+    path += '.';
+    path += std::to_string(paths_.size());
+  }
   os_.open(path, std::ios::binary | std::ios::trunc);
   if (!os_) throw std::runtime_error("cannot open trace segment: " + path);
   paths_.push_back(std::move(path));
   first_ = true;
-  seg_tids_.clear();
   os_ << "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [";
-  emit_process_metadata(os_, first_);
+  emit_metadata(os_, first_);
 }
 
 void ChromeTraceSegmentWriter::close_segment() {
@@ -282,10 +273,6 @@ void ChromeTraceSegmentWriter::write(std::span<const TraceEvent> events) {
   }
   if (!os_.is_open()) open_segment();
   for (const auto& e : events) {
-    if (!seg_tids_.contains(e.tid)) {
-      emit_thread_metadata(os_, first_, e.tid);
-      seg_tids_.insert(e.tid);
-    }
     emit_event(os_, first_, e, t0_);
     // Rollover between events, not mid-record: every segment is standalone
     // valid JSON no matter where the byte budget lands.

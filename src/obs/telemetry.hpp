@@ -5,11 +5,9 @@
 // the interconnect, scheduler, admission plane, fault injector, and
 // checkpoint layer append to as a slot executes. The warm path stays inside
 // the zero-allocation contract (tests/test_zero_alloc.cpp): record() is one
-// indexed store into the preallocated ring, StageTimer is two clock reads
-// and a store, and the per-fiber events of a parallel fan-out are staged in
-// a caller-preallocated per-fiber array — each entry written by exactly one
-// worker, no locks, no atomics — and merged into the ring after the join in
-// deterministic fiber order.
+// indexed store into the preallocated ring and StageTimer is two clock reads
+// and a store. A fabric's slot runs on one thread, so the ring has a single
+// writer and needs no locks or atomics; per-fiber events land in fiber order.
 //
 // Telemetry is off by default and costs one null-pointer branch when
 // disabled: every instrumentation site guards with
@@ -27,7 +25,6 @@
 #include <fstream>
 #include <iosfwd>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -60,7 +57,7 @@ enum class Stage : std::uint8_t {
   kIngress,    ///< admission bucket refill + ingress-queue release batch
   kAdmission,  ///< token-bucket offer() pass over fresh arrivals
   kPartition,  ///< per-slot CSR request partition (counting sort)
-  kFanout,     ///< per-fiber schedule dispatch (serial or pool)
+  kFanout,     ///< per-fiber schedule dispatch
   kMetrics,    ///< per-slot stats recording in the driver loop
   kCount,      ///< number of stages (array bound, not a stage)
 };
@@ -70,7 +67,7 @@ const char* to_string(Stage stage) noexcept;
 /// What a TraceEvent describes. Fixed-size payloads a/b and `detail` are
 /// interpreted per kind (see docs/OBSERVABILITY.md for the full schema).
 enum class EventKind : std::uint8_t {
-  kNone = 0,        ///< empty staging entry; append() skips these
+  kNone = 0,        ///< default-constructed event, never recorded
   kStage,           ///< span: detail = Stage, a/b free per stage
   kFiberSchedule,   ///< span: fiber scheduled; a = offered, b = granted,
                     ///< detail = 1 when degraded to the O(k) approximation
@@ -112,14 +109,12 @@ struct TraceEvent {
   std::int32_t fiber = -1;   ///< output (or input) fiber, -1 = n/a
   EventKind kind = EventKind::kNone;
   std::uint8_t detail = 0;   ///< Stage / kernel kind / FaultKind, per kind
-  std::uint16_t tid = 0;     ///< 0 = caller thread, 1.. = pool worker
 };
 
 /// Preallocated overwrite-oldest ring of TraceEvents plus one latency
 /// histogram per Stage. Single-writer by construction: all record() calls
-/// happen on the slot-loop thread; events produced inside a parallel
-/// fan-out are staged per fiber (one owning worker each) and append()ed
-/// after the join, so the warm path needs no locks and no allocation.
+/// happen on the slot-loop thread, so the warm path needs no locks and no
+/// allocation.
 class TraceRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
@@ -134,15 +129,6 @@ class TraceRecorder {
   void record(const TraceEvent& event) noexcept {
     ring_[static_cast<std::size_t>(head_ % ring_.size())] = event;
     head_ += 1;
-  }
-
-  /// Appends staged per-fiber events, skipping kNone sentinels. Called once
-  /// per scheduling pass, after the parallel join, in fiber order — so the
-  /// ring's content (timestamps aside) is deterministic under any pool.
-  void append(std::span<const TraceEvent> events) noexcept {
-    for (const auto& e : events) {
-      if (e.kind != EventKind::kNone) record(e);
-    }
   }
 
   /// Records a kStage span and feeds the stage's latency histogram.
@@ -270,8 +256,7 @@ class ChromeTraceSegmentWriter {
   std::uint64_t max_bytes_;
   std::ofstream os_;
   std::vector<std::string> paths_;
-  std::set<std::uint16_t> seg_tids_;  // tids named in the current segment
-  bool first_ = true;                 // no record emitted yet this segment
+  bool first_ = true;  // no record emitted yet this segment
   bool t0_set_ = false;
   std::uint64_t t0_ = 0;  // shared timestamp origin across segments
 };

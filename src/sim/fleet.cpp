@@ -12,7 +12,6 @@
 #include "util/cpu_affinity.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace wdm::sim {
@@ -48,7 +47,6 @@ struct Fleet::Shard {
   std::unique_ptr<Interconnect> interconnect;
   std::unique_ptr<TrafficGenerator> traffic;
   std::unique_ptr<MetricsCollector> metrics;
-  std::unique_ptr<util::ThreadPool> pool;  // null when the group is just the driver
   std::unique_ptr<CheckpointStore> store;  // null until open_checkpoints
   /// Always-on trace ring + stage histograms, created once per shard index
   /// and deliberately NOT reset by restarts — a post-crash black box must
@@ -88,6 +86,9 @@ struct Fleet::Shard {
 
 Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   WDM_CHECK_MSG(config_.shards > 0, "a fleet needs at least one shard");
+  WDM_CHECK_MSG(config_.threads_per_shard == 1,
+                "a shard runs on exactly one driver thread "
+                "(threads_per_shard must be 1)");
   WDM_CHECK_MSG(
       config_.shard_seeds.empty() ||
           config_.shard_seeds.size() == config_.shards,
@@ -123,11 +124,6 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   if (!config_.blackbox_dir.empty()) {
     blackbox_ = std::make_unique<obs::BlackBoxWriter>(config_.blackbox_dir);
   }
-
-  // The oversubscription clamp (one pool per shard must not multiply into
-  // more workers than the machine has): group size includes the driver.
-  group_threads_ = util::ThreadPool::clamped_partition_threads(
-      config_.threads_per_shard, config_.shards, config_.max_total_threads);
 
   shards_.resize(config_.shards);
   drivers_.reserve(config_.shards);
@@ -179,16 +175,9 @@ Fleet::~Fleet() {
 
 void Fleet::maybe_pin(std::size_t index, Shard& shard) {
   if (!config_.pin_cpus) return;
-  // Contiguous block per shard: groups land side by side, so on NUMA
-  // hosts a shard's threads share one node as long as blocks do not
-  // straddle a node boundary. Wraps when shards exceed the CPU count.
-  const std::size_t cpus = util::available_cpus();
-  const std::size_t block = std::max<std::size_t>(
-      1, std::min(group_threads_,
-                  cpus / std::max<std::size_t>(1, config_.shards)));
-  const std::size_t first = (index * block) % cpus;
-  shard.pinned = util::pin_current_thread_block(static_cast<int>(first),
-                                                static_cast<int>(block));
+  // One CPU per driver, side by side; wraps when shards exceed the CPUs.
+  const int cpu = static_cast<int>(index % util::available_cpus());
+  shard.pinned = util::pin_current_thread(std::span<const int>(&cpu, 1));
 }
 
 void Fleet::build_shard_state(std::size_t index, Shard& shard) {
@@ -222,11 +211,6 @@ void Fleet::build_shard_state(std::size_t index, Shard& shard) {
                                static_cast<std::size_t>(icfg.scheme.k());
   shard.busy.reserve(channels);
   shard.arrivals.reserve(channels);
-  if (group_threads_ > 1 && shard.pool == nullptr) {
-    // Constructed on this (possibly pinned) thread so the workers inherit
-    // the affinity mask on Linux; group size counts the driver, hence -1.
-    shard.pool = std::make_unique<util::ThreadPool>(group_threads_ - 1);
-  }
 }
 
 void Fleet::driver_main(std::size_t index, bool replacement) {
@@ -324,7 +308,6 @@ void Fleet::driver_main(std::size_t index, bool replacement) {
                                       /*watchdog=*/true, dump->slot,
                                       dump->failed, dump->sup));
   }
-  self->pool.reset();
 }
 
 void Fleet::maybe_inject_fault(std::size_t index, Shard& shard) {
@@ -350,7 +333,7 @@ void Fleet::run_shard_slot(std::size_t index, Shard& shard) {
   shard.interconnect->input_channel_busy_into(shard.busy);
   shard.traffic->next_slot_into(shard.busy, shard.arrivals);
   shard.last = shard.interconnect->step(
-      std::span<const core::SlotRequest>(shard.arrivals), shard.pool.get());
+      std::span<const core::SlotRequest>(shard.arrivals));
   shard.total_arrivals += shard.last.arrivals;
   shard.total_granted += shard.last.granted;
   shard.metrics->record_slot(shard.last);
@@ -418,9 +401,8 @@ void Fleet::attempt_restart(std::unique_lock<std::mutex>& lock,
   std::vector<std::string> discard_reasons;
   try {
     // Fresh state on this thread: the crashed interconnect may be torn
-    // mid-step and the pool may hold poisoned workers — rebuild both. The
-    // derived seeds make the rebuild bit-identical to the original bring-up.
-    shard.pool.reset();
+    // mid-step — rebuild it. The derived seeds make the rebuild
+    // bit-identical to the original bring-up.
     shard.store.reset();
     shard.interconnect.reset();
     shard.traffic.reset();

@@ -1,6 +1,5 @@
-// Sharded fleet engine: F independent fabrics served from pinned worker
-// groups (ROADMAP item 2 — many-interconnect serving at production scale),
-// with an opt-in self-healing supervision layer (docs/ALGORITHMS.md §13).
+// Sharded fleet engine: F independent fabrics, one driver thread each, with
+// an opt-in self-healing supervision layer (docs/ALGORITHMS.md §13).
 //
 // The paper's structural property — each output fiber's scheduler decides
 // independently within a slot — extends one level up: whole fabrics (or
@@ -12,17 +11,18 @@
 // barrier, and the warm step path performs zero cross-shard heap
 // allocation (tests/test_zero_alloc.cpp drives a 4-shard fleet).
 //
-// Threading model: one persistent driver thread per shard. A driver
-// optionally pins itself (util::cpu_affinity) to a contiguous CPU block,
-// then constructs the shard's state *on the pinned thread* — so first-touch
-// page placement puts the shard's arenas on the driver's NUMA node — and
-// its per-shard ThreadPool workers inherit the affinity mask. Per-shard
-// group sizes are clamped by ThreadPool::clamped_partition_threads so a
-// fleet never oversubscribes the machine with nested pools.
+// Threading model: a shard — one fabric on one driver thread — is the only
+// unit of parallelism. Each shard has one persistent driver thread that
+// runs the fabric's whole slot (its N per-fiber schedules one after
+// another; the paper's per-fiber parallelism is hardware, modelled in
+// src/hw). A driver optionally pins itself (util::cpu_affinity) to CPU
+// i mod available_cpus(), then constructs the shard's state *on the pinned
+// thread*, so first-touch page placement puts the shard's arenas on the
+// driver's NUMA node.
 //
 // Determinism: shard i's master seed is a labeled substream of the fleet
 // seed (or an explicit FleetConfig::shard_seeds entry), and every scheduling
-// decision is thread-count- and pinning-independent, so
+// decision is pinning-independent, so
 // fleet_digest() — FNV-1a64 over the ordered shard state digests — is a
 // bit-exact fingerprint of (config, seed, slots stepped). Checkpoint and
 // resume run one sim::CheckpointStore chain per shard under
@@ -121,15 +121,11 @@ struct SupervisionConfig {
 struct FleetConfig {
   /// Independent fabrics served by this fleet.
   std::size_t shards = 1;
-  /// Threads per shard group, *including* the shard's driver thread (the
-  /// driver claims parallel_for chunks alongside the pool workers). 0
-  /// derives it from the thread budget; values above the per-shard budget
-  /// are clamped (ThreadPool::clamped_partition_threads).
-  std::size_t threads_per_shard = 0;
-  /// Total thread budget shared by all shard groups; 0 means the CPUs
-  /// available to this process. Tests use it to model a small host.
-  std::size_t max_total_threads = 0;
-  /// Pin each shard group to a contiguous block of logical CPUs. A
+  /// Threads per shard, the driver included. A shard runs on exactly one
+  /// thread, so the only accepted value is 1; the constructor rejects any
+  /// other.
+  std::size_t threads_per_shard = 1;
+  /// Pin shard i's driver to logical CPU i mod available_cpus(). A
   /// performance hint only: decisions and digests are identical either way.
   bool pin_cpus = false;
   /// Fleet master seed; shard i's seed is a labeled substream of it.
@@ -180,20 +176,10 @@ class Fleet {
 
   const FleetConfig& config() const noexcept { return config_; }
   std::size_t shards() const noexcept { return shards_.size(); }
-  /// Effective group size per shard after the oversubscription clamp
-  /// (driver thread included).
-  std::size_t threads_per_shard() const noexcept { return group_threads_; }
-  /// Pool workers each shard spawned (group size minus the driver).
-  std::size_t pool_workers_per_shard() const noexcept {
-    return group_threads_ - 1;
-  }
-  /// Every thread the fleet spawned or drives: shard drivers plus all
-  /// per-shard pool workers. The clamp guarantees this never exceeds
-  /// max(shards, thread budget). Watchdog replacements are not counted —
-  /// an abandoned driver is winding down while its replacement serves.
-  std::size_t total_threads() const noexcept {
-    return shards_.size() * group_threads_;
-  }
+  /// Every thread the fleet drives: one driver per shard. Watchdog
+  /// replacements are not counted — an abandoned driver is winding down
+  /// while its replacement serves.
+  std::size_t total_threads() const noexcept { return shards_.size(); }
   /// True when pinning was requested and every shard applied its CPU mask.
   /// False under the portable no-op fallback — callers should surface that
   /// (examples/simulate warns; wdm_fleet_pinned exports it).
@@ -360,7 +346,6 @@ class Fleet {
   [[noreturn]] void stop_drivers_and_rethrow(std::exception_ptr error);
 
   FleetConfig config_;
-  std::size_t group_threads_ = 1;  // effective per-shard group size
   bool pinned_ = false;
   std::vector<std::uint64_t> seeds_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -70,7 +70,6 @@ Interconnect::Interconnect(InterconnectConfig config)
   decisions_.reserve(n_channels);
   continuing_.reserve(n_channels);
   continuing_remaining_.reserve(n_channels);
-  batch_flags_.reserve(n_channels);
   if (config_.retry.max_retries > 0) {
     retry_queue_.reserve(config_.retry.queue_capacity);
     due_.reserve(config_.retry.queue_capacity);
@@ -284,76 +283,7 @@ void Interconnect::count_rejection(const core::SlotRequest& request,
   if (core::is_malformed(reason)) stats.rejected_malformed += 1;
 }
 
-SlotStats Interconnect::step(std::span<const core::SlotRequest> arrivals,
-                             util::ThreadPool* pool) {
-  return step_impl(arrivals, pool, nullptr);
-}
-
-SlotStats Interconnect::step_batch(
-    std::span<const std::vector<core::SlotRequest>> slots,
-    util::ThreadPool* pool, std::span<SlotStats> per_slot) {
-  WDM_CHECK_MSG(per_slot.empty() || per_slot.size() == slots.size(),
-                "per_slot must be empty or one entry per slot");
-  // One-pass branchless pre-validation of the whole window. Same predicate,
-  // same outcome per request as the inline check in schedule_new_arrivals —
-  // only the control flow is hoisted out of the per-slot loop.
-  std::size_t total = 0;
-  for (const auto& s : slots) total += s.size();
-  batch_flags_.resize(total);
-  const std::int32_t n = config_.n_fibers;
-  const std::int32_t kk = k();
-  std::size_t pos = 0;
-  for (const auto& s : slots) {
-    for (const auto& r : s) {
-      batch_flags_[pos++] = static_cast<std::uint8_t>(
-          static_cast<int>(r.input_fiber >= 0) &
-          static_cast<int>(r.input_fiber < n) &
-          static_cast<int>(r.output_fiber >= 0) &
-          static_cast<int>(r.output_fiber < n) &
-          static_cast<int>(r.wavelength >= 0) &
-          static_cast<int>(r.wavelength < kk) &
-          static_cast<int>(r.duration >= 1) &
-          static_cast<int>(r.priority >= 0));
-    }
-  }
-
-  SlotStats sum;
-  std::size_t offset = 0;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    const SlotStats stats =
-        step_impl(slots[s], pool, batch_flags_.data() + offset);
-    offset += slots[s].size();
-    sum.arrivals += stats.arrivals;
-    sum.granted += stats.granted;
-    sum.rejected += stats.rejected;
-    sum.rejected_malformed += stats.rejected_malformed;
-    sum.rejected_faulted += stats.rejected_faulted;
-    sum.shed_overload += stats.shed_overload;
-    sum.deferred_faulted += stats.deferred_faulted;
-    sum.deferred_overload += stats.deferred_overload;
-    sum.ingress_releases += stats.ingress_releases;
-    sum.degraded_ports += stats.degraded_ports;
-    sum.retry_attempts += stats.retry_attempts;
-    sum.retry_successes += stats.retry_successes;
-    sum.preempted += stats.preempted;
-    sum.dropped_faulted += stats.dropped_faulted;
-    sum.busy_channels = stats.busy_channels;  // last slot's occupancy
-    if (stats.arrivals_per_class.size() > sum.arrivals_per_class.size()) {
-      sum.arrivals_per_class.resize(stats.arrivals_per_class.size(), 0);
-      sum.granted_per_class.resize(stats.granted_per_class.size(), 0);
-    }
-    for (std::size_t c = 0; c < stats.arrivals_per_class.size(); ++c) {
-      sum.arrivals_per_class[c] += stats.arrivals_per_class[c];
-      sum.granted_per_class[c] += stats.granted_per_class[c];
-    }
-    if (!per_slot.empty()) per_slot[s] = stats;
-  }
-  return sum;
-}
-
-SlotStats Interconnect::step_impl(std::span<const core::SlotRequest> arrivals,
-                                  util::ThreadPool* pool,
-                                  const std::uint8_t* valid_flags) {
+SlotStats Interconnect::step(std::span<const core::SlotRequest> arrivals) {
   const bool trace_slots =
       telemetry_ != nullptr && telemetry_->at(obs::TraceDetail::kSlots);
   const std::uint64_t step_t0 = trace_slots ? util::now_ns() : 0;
@@ -419,9 +349,9 @@ SlotStats Interconnect::step_impl(std::span<const core::SlotRequest> arrivals,
     budget_ptr = &budget;
   }
   if (config_.policy == OccupiedPolicy::kNoDisturb) {
-    step_no_disturb(arrivals, health, pool, stats, budget_ptr, valid_flags);
+    step_no_disturb(arrivals, health, stats, budget_ptr);
   } else {
-    step_rearrange(arrivals, health, pool, stats, budget_ptr, valid_flags);
+    step_rearrange(arrivals, health, stats, budget_ptr);
   }
   if (budget_ptr != nullptr) {
     stats.degraded_ports = static_cast<std::uint64_t>(budget.degraded_ports);
@@ -531,8 +461,7 @@ void Interconnect::update_hysteresis(const core::SlotBudget& budget,
 }
 
 void Interconnect::run_retries(const std::vector<core::HealthMask>* health,
-                               util::ThreadPool* pool, SlotStats& stats,
-                               core::SlotBudget* budget) {
+                               SlotStats& stats, core::SlotBudget* budget) {
   if (retry_queue_.empty()) return;
   const obs::StageTimer retry_timer(telemetry_, obs::Stage::kRetry, slot_);
   due_.clear();
@@ -552,8 +481,8 @@ void Interconnect::run_retries(const std::vector<core::HealthMask>* health,
   batch_.reserve(due_.size());
   for (const auto& pending : due_) batch_.push_back(pending.request);
   decisions_.resize(batch_.size());
-  scheduler_.schedule_slot_into(batch_, availability_view(), health, pool,
-                                decisions_, budget);
+  scheduler_.schedule_slot_into(batch_, availability_view(), health, budget,
+                                decisions_);
   for (std::size_t i = 0; i < due_.size(); ++i) {
     if (decisions_[i].granted) {
       stats.granted += 1;
@@ -578,8 +507,7 @@ void Interconnect::run_retries(const std::vector<core::HealthMask>* health,
 }
 
 void Interconnect::run_ingress(const std::vector<core::HealthMask>* health,
-                               util::ThreadPool* pool, SlotStats& stats,
-                               core::SlotBudget* budget) {
+                               SlotStats& stats, core::SlotBudget* budget) {
   if (admission_ == nullptr) return;
   const obs::StageTimer ingress_timer(telemetry_, obs::Stage::kIngress, slot_);
   admission_->begin_slot();
@@ -599,8 +527,8 @@ void Interconnect::run_ingress(const std::vector<core::HealthMask>* health,
   // Like retries, they are tracked by the ingress_* counters only, never in
   // the per-class arrival accounting.
   decisions_.resize(released_.size());
-  scheduler_.schedule_slot_into(released_, availability_view(), health, pool,
-                                decisions_, budget);
+  scheduler_.schedule_slot_into(released_, availability_view(), health,
+                                budget, decisions_);
   for (std::size_t i = 0; i < released_.size(); ++i) {
     if (decisions_[i].granted) {
       stats.granted += 1;
@@ -617,18 +545,15 @@ void Interconnect::run_ingress(const std::vector<core::HealthMask>* health,
 
 void Interconnect::schedule_new_arrivals(
     std::span<const core::SlotRequest> arrivals,
-    const std::vector<core::HealthMask>* health, util::ThreadPool* pool,
-    SlotStats& stats, core::SlotBudget* budget,
-    const std::uint8_t* valid_flags) {
+    const std::vector<core::HealthMask>* health, SlotStats& stats,
+    core::SlotBudget* budget) {
   stats.arrivals += arrivals.size();
 
   // Per-request validation of externally supplied data (trace replay, user
   // workloads): a malformed request is dropped and counted, never thrown on.
   // The scheduler re-validates what it can see, but the input-fiber upper
   // bound — needed before occupy() touches per-input-channel state — is only
-  // known here. step_batch pre-computes the same predicate for the whole
-  // window (`valid_flags`); the outcome per request is identical. The copy
-  // into valid_ is lazy: an all-valid slot (the steady-state common case)
+  // known here. The copy into valid_ is lazy: an all-valid slot (the steady-state common case)
   // schedules straight off the caller's span.
   valid_.clear();
   bool copied = false;
@@ -636,12 +561,10 @@ void Interconnect::schedule_new_arrivals(
   for (std::size_t idx = 0; idx < arrivals.size(); ++idx) {
     const auto& r = arrivals[idx];
     const bool ok =
-        valid_flags != nullptr
-            ? valid_flags[idx] != 0
-            : r.input_fiber >= 0 && r.input_fiber < config_.n_fibers &&
-                  r.output_fiber >= 0 && r.output_fiber < config_.n_fibers &&
-                  r.wavelength >= 0 && r.wavelength < k() &&
-                  r.duration >= 1 && r.priority >= 0;
+        r.input_fiber >= 0 && r.input_fiber < config_.n_fibers &&
+        r.output_fiber >= 0 && r.output_fiber < config_.n_fibers &&
+        r.wavelength >= 0 && r.wavelength < k() && r.duration >= 1 &&
+        r.priority >= 0;
     if (!ok) {
       stats.rejected += 1;
       stats.rejected_malformed += 1;
@@ -709,8 +632,8 @@ void Interconnect::schedule_new_arrivals(
     stats.arrivals_per_class[static_cast<std::size_t>(cls)] += cls_batch.size();
     // Availability reflects everything higher classes just took.
     decisions_.resize(cls_batch.size());
-    scheduler_.schedule_slot_into(cls_batch, availability_view(), health, pool,
-                                  decisions_, budget);
+    scheduler_.schedule_slot_into(cls_batch, availability_view(), health,
+                                  budget, decisions_);
     for (std::size_t i = 0; i < cls_batch.size(); ++i) {
       if (!decisions_[i].granted) {
         count_rejection(cls_batch[i], decisions_[i].reason, 0, stats);
@@ -729,23 +652,21 @@ void Interconnect::schedule_new_arrivals(
 
 void Interconnect::step_no_disturb(
     std::span<const core::SlotRequest> arrivals,
-    const std::vector<core::HealthMask>* health, util::ThreadPool* pool,
-    SlotStats& stats, core::SlotBudget* budget,
-    const std::uint8_t* valid_flags) {
+    const std::vector<core::HealthMask>* health, SlotStats& stats,
+    core::SlotBudget* budget) {
   // Under kNoDisturb a connection is pinned to its exact channel, so losing
   // that channel (or its converter mid-conversion, or the fiber) kills the
   // connection outright.
   if (health != nullptr) teardown_faulted(*health, stats);
-  run_retries(health, pool, stats, budget);
-  run_ingress(health, pool, stats, budget);
-  schedule_new_arrivals(arrivals, health, pool, stats, budget, valid_flags);
+  run_retries(health, stats, budget);
+  run_ingress(health, stats, budget);
+  schedule_new_arrivals(arrivals, health, stats, budget);
 }
 
 void Interconnect::step_rearrange(
     std::span<const core::SlotRequest> arrivals,
-    const std::vector<core::HealthMask>* health, util::ThreadPool* pool,
-    SlotStats& stats, core::SlotBudget* budget,
-    const std::uint8_t* valid_flags) {
+    const std::vector<core::HealthMask>* health, SlotStats& stats,
+    core::SlotBudget* budget) {
   // Phase 1: lift ongoing connections out of the fabric and re-schedule them
   // with the whole fiber free. On healthy hardware they were simultaneously
   // placed a slot ago, so a full placement exists and the maximum matching
@@ -782,7 +703,7 @@ void Interconnect::step_rearrange(
     // being maximum, which the approximation does not guarantee.
     decisions_.resize(continuing_.size());
     scheduler_.schedule_slot_into(continuing_, core::AvailabilityView{},
-                                  health, pool, decisions_);
+                                  health, nullptr, decisions_);
     for (std::size_t i = 0; i < continuing_.size(); ++i) {
       if (decisions_[i].granted) {
         occupy(continuing_[i].output_fiber, decisions_[i].channel,
@@ -803,9 +724,9 @@ void Interconnect::step_rearrange(
 
   // Phase 2: retries, ingress releases, then new arrivals compete for the
   // channels left over.
-  run_retries(health, pool, stats, budget);
-  run_ingress(health, pool, stats, budget);
-  schedule_new_arrivals(arrivals, health, pool, stats, budget, valid_flags);
+  run_retries(health, stats, budget);
+  run_ingress(health, stats, budget);
+  schedule_new_arrivals(arrivals, health, stats, budget);
 }
 
 void Interconnect::save_section(std::size_t section,

@@ -28,7 +28,6 @@
 #include "sim/faults.hpp"
 #include "sim/metrics.hpp"
 #include "util/snapshot.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm::sim {
 
@@ -107,21 +106,10 @@ class Interconnect {
   const InterconnectConfig& config() const noexcept { return config_; }
 
   /// Advances one time slot: ages ongoing connections, schedules `arrivals`
-  /// (all per-output-fiber schedules run on `pool` when given), and occupies
-  /// the granted channels. Returns the slot's accounting.
-  SlotStats step(std::span<const core::SlotRequest> arrivals,
-                 util::ThreadPool* pool = nullptr);
-
-  /// Advances W consecutive slots, one vector of arrivals per slot.
-  /// Bit-identical to W successive step() calls — slots still execute
-  /// serially (slot s+1 sees the fabric slot s left) — but the per-request
-  /// validation of the whole window runs as one branchless pre-pass, which
-  /// is what the amortization buys. Returns the summed accounting; if
-  /// `per_slot` is non-empty it must have one entry per slot and receives
-  /// each slot's individual stats.
-  SlotStats step_batch(std::span<const std::vector<core::SlotRequest>> slots,
-                       util::ThreadPool* pool = nullptr,
-                       std::span<SlotStats> per_slot = {});
+  /// (the N per-output-fiber schedules run one after another on the calling
+  /// thread), and occupies the granted channels. Returns the slot's
+  /// accounting.
+  SlotStats step(std::span<const core::SlotRequest> arrivals);
 
   /// Busy flags of the N*k input wavelength channels (fiber*k + wavelength)
   /// *for the upcoming slot* — i.e. connections that still hold after the
@@ -229,44 +217,28 @@ class Interconnect {
     std::uint64_t due_slot = 0;    ///< re-offer at this internal slot
   };
 
-  /// Shared body of step()/step_batch(). `valid_flags`, if non-null, holds
-  /// one 0/1 byte per arrival — the pre-computed result of the validation
-  /// predicate (step_batch's one-pass pre-validation); null means validate
-  /// inline.
-  SlotStats step_impl(std::span<const core::SlotRequest> arrivals,
-                      util::ThreadPool* pool,
-                      const std::uint8_t* valid_flags);
   void step_no_disturb(std::span<const core::SlotRequest> arrivals,
                        const std::vector<core::HealthMask>* health,
-                       util::ThreadPool* pool, SlotStats& stats,
-                       core::SlotBudget* budget,
-                       const std::uint8_t* valid_flags);
+                       SlotStats& stats, core::SlotBudget* budget);
   void step_rearrange(std::span<const core::SlotRequest> arrivals,
                       const std::vector<core::HealthMask>* health,
-                      util::ThreadPool* pool, SlotStats& stats,
-                      core::SlotBudget* budget,
-                      const std::uint8_t* valid_flags);
+                      SlotStats& stats, core::SlotBudget* budget);
   /// Tears down ongoing connections whose channel, converter, or fiber
   /// failed (kNoDisturb policy; kRearrange re-homes instead).
   void teardown_faulted(const std::vector<core::HealthMask>& health,
                         SlotStats& stats);
   /// Re-offers due retry-queue entries, ahead of fresh arrivals.
   void run_retries(const std::vector<core::HealthMask>* health,
-                   util::ThreadPool* pool, SlotStats& stats,
-                   core::SlotBudget* budget);
+                   SlotStats& stats, core::SlotBudget* budget);
   /// Refills the token buckets and schedules ingress-queue releases, after
   /// retries and before fresh arrivals (they have waited longer).
   void run_ingress(const std::vector<core::HealthMask>* health,
-                   util::ThreadPool* pool, SlotStats& stats,
-                   core::SlotBudget* budget);
+                   SlotStats& stats, core::SlotBudget* budget);
   /// Schedules new arrivals strict-priority class by class (§VI extension);
-  /// single-class slots collapse to one scheduling pass. `valid_flags` as in
-  /// step_impl.
+  /// single-class slots collapse to one scheduling pass.
   void schedule_new_arrivals(std::span<const core::SlotRequest> arrivals,
                              const std::vector<core::HealthMask>* health,
-                             util::ThreadPool* pool, SlotStats& stats,
-                             core::SlotBudget* budget,
-                             const std::uint8_t* valid_flags);
+                             SlotStats& stats, core::SlotBudget* budget);
   enum class Defer : std::uint8_t {
     kParked,           ///< queued for retry (deferred_faulted)
     kBudgetExhausted,  ///< out of attempts -> rejected_faulted
@@ -339,7 +311,6 @@ class Interconnect {
   std::vector<core::SlotRequest> continuing_;   // kRearrange lifted conns
   std::vector<std::int32_t> continuing_remaining_;
   std::vector<core::SlotRequest> released_;     // ingress-queue drain batch
-  std::vector<std::uint8_t> batch_flags_;       // step_batch validity pre-pass
   std::vector<std::uint64_t> fiber_grants_in_;  // slot grants per INPUT fiber
                                                 // (adaptive-admission feedback)
   std::vector<std::int32_t> charge_order_;      // degradation charge order,

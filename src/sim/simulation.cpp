@@ -1,7 +1,6 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -20,11 +19,6 @@ SimulationReport run_simulation(const SimulationConfig& config) {
                            seeder.next());
   MetricsCollector metrics(icfg.n_fibers, icfg.scheme.k());
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (config.threads > 0) {
-    pool = std::make_unique<util::ThreadPool>(config.threads);
-  }
-
   const util::Stopwatch clock;
   // Method of batch means: 30 contiguous batches of measured slots give a
   // correlation-robust CI on the loss probability.
@@ -37,7 +31,7 @@ SimulationReport run_simulation(const SimulationConfig& config) {
 
   for (std::uint64_t slot = 0; slot < config.warmup + config.slots; ++slot) {
     const auto arrivals = traffic.next_slot(interconnect.input_channel_busy());
-    const SlotStats stats = interconnect.step(arrivals, pool.get());
+    const SlotStats stats = interconnect.step(arrivals);
     if (slot < config.warmup) continue;
     metrics.record_slot(stats);
     batch_arrivals += stats.arrivals;

@@ -19,7 +19,6 @@ struct SimulationConfig {
   std::uint64_t slots = 10000;   ///< measured slots (after warm-up)
   std::uint64_t warmup = 1000;   ///< discarded leading slots
   std::uint64_t seed = 1;        ///< master seed (traffic + schedulers)
-  std::size_t threads = 0;       ///< >0: run per-fiber schedules on a pool
 };
 
 struct SimulationReport {

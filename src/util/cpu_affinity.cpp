@@ -37,7 +37,7 @@ bool pin_current_thread(std::span<const int> cpus) noexcept {
   bool any = false;
   for (const int cpu : cpus) {
     if (cpu < 0 || cpu >= CPU_SETSIZE) continue;
-    CPU_SET(cpu, &set);
+    CPU_SET(static_cast<std::size_t>(cpu), &set);
     any = true;
   }
   if (!any) return false;
@@ -46,17 +46,6 @@ bool pin_current_thread(std::span<const int> cpus) noexcept {
   (void)cpus;
   return false;
 #endif
-}
-
-bool pin_current_thread_block(int first_cpu, int count) noexcept {
-  if (count <= 0) return false;
-  // Small fixed stack buffer: pinning happens once per shard at startup, and
-  // a shard block wider than this is clamped to its leading CPUs.
-  constexpr int kMaxBlock = 256;
-  int cpus[kMaxBlock];
-  const int n = count < kMaxBlock ? count : kMaxBlock;
-  for (int i = 0; i < n; ++i) cpus[i] = first_cpu + i;
-  return pin_current_thread(std::span<const int>(cpus, static_cast<std::size_t>(n)));
 }
 
 }  // namespace wdm::util

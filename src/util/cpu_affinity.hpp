@@ -1,9 +1,9 @@
 // Portable CPU-affinity helper for the sharded fleet engine.
 //
-// A fleet pins each shard's worker group to a contiguous block of logical
-// CPUs so a shard's scheduler threads, arenas, and availability plane stay
-// on one cache/NUMA domain (the shard state is first-touched from the pinned
-// driver thread, so page placement follows the pin on first-touch systems).
+// A fleet pins each shard's driver thread to one logical CPU so the shard's
+// scheduler, arenas, and availability plane stay on one cache/NUMA domain
+// (the shard state is first-touched from the pinned driver thread, so page
+// placement follows the pin on first-touch systems).
 // Pinning is strictly a performance hint: every scheduling decision is
 // identical with pinning on or off, which the fleet determinism tests
 // enforce.
@@ -30,11 +30,7 @@ bool cpu_affinity_supported() noexcept;
 /// [0, available system range) are ignored). Returns true when the mask was
 /// applied; false on unsupported platforms, an empty/out-of-range set, or a
 /// kernel refusal. Threads spawned afterwards by the calling thread inherit
-/// the mask on Linux — the fleet relies on this to pin a shard's ThreadPool
-/// workers by constructing the pool on the pinned driver thread.
+/// the mask on Linux.
 bool pin_current_thread(std::span<const int> cpus) noexcept;
-
-/// Convenience: pin to the contiguous block [first_cpu, first_cpu + count).
-bool pin_current_thread_block(int first_cpu, int count) noexcept;
 
 }  // namespace wdm::util

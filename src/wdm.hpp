@@ -11,7 +11,6 @@
 #include "util/snapshot.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 // graph — generic bipartite matching substrate

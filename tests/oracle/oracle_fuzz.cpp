@@ -5,8 +5,8 @@
 //  * random (--cases N): N random (scheme, request-vector, mask) instances,
 //    spanning circular and non-circular conversion, every degree up to k,
 //    empty and random availability masks. Each instance runs the
-//    scheme-appropriate kernel (First Available, Break-and-First-Available
-//    serial and pooled, the full-range rule) and must match the
+//    scheme-appropriate kernel (First Available, Break-and-First-Available,
+//    the full-range rule) and must match the
 //    Hopcroft–Karp maximum on the explicit request graph exactly; the
 //    single-break approximation must stay within its Theorem-3 gap bound.
 //    Every instance additionally runs the production word (packed 64-bit)
@@ -57,7 +57,6 @@
 #include "graph/hopcroft_karp.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm::oracle {
 namespace {
@@ -127,8 +126,7 @@ bool assignment_valid(const core::ChannelAssignment& a, const RequestVector& rv,
 /// the explicit request graph. Returns true if the instance is clean.
 bool check_instance(Stats& stats, const ConversionScheme& scheme,
                     const RequestVector& rv,
-                    const std::vector<std::uint8_t>& mask,
-                    util::ThreadPool* pool) {
+                    const std::vector<std::uint8_t>& mask) {
   stats.instances += 1;
   const core::RequestGraph g(scheme, rv, mask);
   const auto maximum =
@@ -163,7 +161,7 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
     } else {
       core::BfaScratch scratch;
       core::break_first_available_masked_into(
-          rv, scheme, avail_words, nonempty_words, pool, scratch, masked);
+          rv, scheme, avail_words, nonempty_words, scratch, masked);
     }
     if (masked.granted != kernel.granted || masked.source != kernel.source) {
       return fail(stats, "word kernel diverged from the value-returning result",
@@ -172,13 +170,6 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
   }
 
   if (scheme.kind() == ConversionKind::kCircular && !scheme.is_full_range()) {
-    // Pooled BFA must agree with the serial result exactly.
-    if (pool != nullptr) {
-      const auto pooled = core::break_first_available(rv, scheme, mask, pool);
-      if (pooled.granted != maximum || pooled.source != kernel.source) {
-        return fail(stats, "pooled BFA diverged from serial", scheme, rv, mask);
-      }
-    }
     // Theorem 3: the single-break approximation stays within its bound.
     const auto approx = core::approx_break_first_available(rv, scheme, mask);
     // The word approximation must pick the same break edge and produce the
@@ -248,8 +239,7 @@ core::HealthMask random_health(util::Rng& rng, std::int32_t k) {
 bool check_instance_health(Stats& stats, const ConversionScheme& scheme,
                            const RequestVector& rv,
                            const std::vector<std::uint8_t>& mask,
-                           const core::HealthMask& health,
-                           util::ThreadPool* pool) {
+                           const core::HealthMask& health) {
   stats.instances += 1;
   stats.health_instances += 1;
   const auto report = [&](const std::string& what) {
@@ -312,13 +302,6 @@ bool check_instance_health(Stats& stats, const ConversionScheme& scheme,
 
   if (scheme.kind() == ConversionKind::kCircular && !scheme.is_full_range()) {
     const auto reduced_max = maximum - red.pre_grant_count;
-    if (pool != nullptr) {
-      const auto pooled =
-          core::break_first_available(red.requests, scheme, red.availability, pool);
-      if (pooled.granted != reduced_max || pooled.source != kernel.source) {
-        return report("pooled BFA diverged on the reduced instance");
-      }
-    }
     const auto approx =
         core::approx_break_first_available(red.requests, scheme, red.availability);
     if (approx.break_channel != core::kNone) {
@@ -344,8 +327,7 @@ bool check_instance_health(Stats& stats, const ConversionScheme& scheme,
 /// outranks field validation — nothing on a dead fiber is inspected), and
 /// surviving fibers must still be maximum on their fault-reduced graphs.
 bool check_distributed(Stats& stats, util::Rng& rng,
-                       const ConversionScheme& scheme, double fault_prob,
-                       util::ThreadPool* pool) {
+                       const ConversionScheme& scheme, double fault_prob) {
   stats.distributed_slots += 1;
   const auto k = scheme.k();
   const auto n_fibers = static_cast<std::int32_t>(1 + rng.uniform_below(4));
@@ -415,7 +397,7 @@ bool check_distributed(Stats& stats, util::Rng& rng,
 
   const auto decisions = sched.schedule_slot(
       requests, with_masks ? &availability : nullptr,
-      with_health ? &health : nullptr, rng.bernoulli(0.5) ? pool : nullptr);
+      with_health ? &health : nullptr);
   const auto report = [&](const std::string& what) {
     stats.failures += 1;
     std::cerr << "FAIL: distributed: " << what << " (kind="
@@ -541,7 +523,7 @@ ConversionScheme random_scheme(util::Rng& rng, std::int32_t max_k) {
 }
 
 void run_random(Stats& stats, std::uint64_t cases, std::uint64_t seed,
-                std::int32_t max_k, double fault_prob, util::ThreadPool& pool) {
+                std::int32_t max_k, double fault_prob) {
   util::Rng rng(seed);
   for (std::uint64_t c = 0; c < cases; ++c) {
     const auto scheme = random_scheme(rng, max_k);
@@ -560,13 +542,12 @@ void run_random(Stats& stats, std::uint64_t cases, std::uint64_t seed,
       const double p_free = rng.uniform01();
       for (auto& bit : mask) bit = rng.bernoulli(p_free) ? 1 : 0;
     }
-    check_instance(stats, scheme, rv, mask, &pool);
+    check_instance(stats, scheme, rv, mask);
     if (fault_prob > 0.0 && rng.bernoulli(fault_prob)) {
       // Same instance, degraded hardware: the reduction must stay maximum.
-      check_instance_health(stats, scheme, rv, mask, random_health(rng, k),
-                            &pool);
+      check_instance_health(stats, scheme, rv, mask, random_health(rng, k));
     }
-    if (c % 8 == 0) check_distributed(stats, rng, scheme, fault_prob, &pool);
+    if (c % 8 == 0) check_distributed(stats, rng, scheme, fault_prob);
   }
 }
 
@@ -589,14 +570,14 @@ void run_exhaustive(Stats& stats, std::int32_t max_k) {
             std::vector<std::uint8_t> mask(static_cast<std::size_t>(k));
             for (std::uint64_t bits = 0; bits < (1ull << k); ++bits) {
               if (bits == 0) {
-                check_instance(stats, scheme, rv, {}, nullptr);
+                check_instance(stats, scheme, rv, {});
                 continue;
               }
               for (std::int32_t i = 0; i < k; ++i) {
                 mask[static_cast<std::size_t>(i)] =
                     (bits >> i) & 1ull ? 1 : 0;
               }
-              check_instance(stats, scheme, rv, mask, nullptr);
+              check_instance(stats, scheme, rv, mask);
             }
             // Odometer increment over {0,1,2}^k.
             std::size_t pos = 0;
@@ -634,7 +615,7 @@ void run_exhaustive_faults(Stats& stats, std::int32_t max_k) {
             }
             core::HealthMask cut;
             cut.fiber_faulted = true;
-            check_instance_health(stats, scheme, rv, {}, cut, nullptr);
+            check_instance_health(stats, scheme, rv, {}, cut);
             // Odometer over {healthy, converter, channel}^k.
             core::HealthMask health = core::HealthMask::healthy(k);
             std::vector<std::int32_t> states(static_cast<std::size_t>(k), 0);
@@ -644,7 +625,7 @@ void run_exhaustive_faults(Stats& stats, std::int32_t max_k) {
                     static_cast<core::ChannelHealth>(
                         states[static_cast<std::size_t>(u)]);
               }
-              check_instance_health(stats, scheme, rv, {}, health, nullptr);
+              check_instance_health(stats, scheme, rv, {}, health);
               std::size_t pos = 0;
               while (pos < states.size() && states[pos] == 2) states[pos++] = 0;
               if (pos == states.size()) break;
@@ -684,18 +665,15 @@ int main(int argc, char** argv) {
                  "enumerate every per-channel health state in {healthy, "
                  "converter-faulted, channel-faulted} plus the fiber cut, for "
                  "counts in {0,1,2}, up to this k (0 = skip)");
-  cli.add_option("threads", "3", "thread pool size for pooled-BFA checks");
   if (!cli.parse(argc, argv)) return 2;
 
   wdm::oracle::Stats stats;
   const auto cases = static_cast<std::uint64_t>(cli.get_int("cases"));
   if (cases > 0) {
-    wdm::util::ThreadPool pool(
-        static_cast<std::size_t>(cli.get_int("threads")));
     wdm::oracle::run_random(stats, cases,
                             static_cast<std::uint64_t>(cli.get_int("seed")),
                             static_cast<std::int32_t>(cli.get_int("max-k")),
-                            cli.get_double("fault-prob"), pool);
+                            cli.get_double("fault-prob"));
   }
   const auto exhaustive_k = static_cast<std::int32_t>(cli.get_int("exhaustive-k"));
   if (exhaustive_k > 0) {

@@ -149,9 +149,17 @@ INSTANTIATE_TEST_SUITE_P(
                       ApproxCase{16, 4, 4, 2, 0.3}),
     [](const ::testing::TestParamInfo<ApproxCase>& pinfo) {
       const auto& p = pinfo.param;
-      return "k" + std::to_string(p.k) + "_e" + std::to_string(p.e) + "_f" +
-             std::to_string(p.f) + "_L" +
-             std::to_string(static_cast<int>(p.load * 100));
+      // Appended piecewise: `"k" + std::to_string(...)` trips GCC 12's
+      // libstdc++ -Wrestrict false positive under -Werror.
+      std::string name = "k";
+      name += std::to_string(p.k);
+      name += "_e";
+      name += std::to_string(p.e);
+      name += "_f";
+      name += std::to_string(p.f);
+      name += "_L";
+      name += std::to_string(static_cast<int>(p.load * 100));
+      return name;
     });
 
 }  // namespace

@@ -6,8 +6,8 @@
 // converter and fiber faults, deadline-bounded degradation, a 70-wavelength
 // fabric whose masks span two words, a single fiber and empty slots. Any
 // change to a grant, a channel, a rejection reason, an arbitration draw or
-// the fault handling moves a pin. Thread-pool fan-out and tracing must not
-// change decisions, so those runs are compared with the plain run in-process.
+// the fault handling moves a pin. Tracing must not change decisions, so the
+// traced runs are compared with the plain run in-process.
 //
 // Complements the differential oracle (tests/oracle/oracle_fuzz.cpp), which
 // pins the kernels against Hopcroft–Karp per instance, and ArbitrationGolden
@@ -29,7 +29,6 @@
 #include "sim/interconnect.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm {
 namespace {
@@ -116,17 +115,13 @@ struct RunResult {
 /// the per-slot stats plus the final checkpoint digest.
 RunResult run(const sim::InterconnectConfig& cfg,
               const std::vector<std::vector<core::SlotRequest>>& slots,
-              bool use_pool = false,
               obs::TraceDetail detail = obs::TraceDetail::kOff) {
   sim::Interconnect ic(cfg);
   obs::TraceRecorder recorder(detail);
   if (detail != obs::TraceDetail::kOff) ic.set_telemetry(&recorder);
-  util::ThreadPool pool(2);
   RunResult out;
   out.stats.reserve(slots.size());
-  for (const auto& slot : slots) {
-    out.stats.push_back(ic.step(slot, use_pool ? &pool : nullptr));
-  }
+  for (const auto& slot : slots) out.stats.push_back(ic.step(slot));
   out.digest = sim::state_digest(ic);
   return out;
 }
@@ -154,7 +149,7 @@ void expect_golden(const RunResult& got, const Golden& want) {
 
 TEST(DigestGolden, StateDigestSweepAcrossPoolTraceAndFaults) {
   // Both conversion kinds and occupancy policies, with and without faults,
-  // pinned; the pool and full-trace runs of each must match the plain run.
+  // pinned; the traced runs of each must match the plain run.
   const std::int32_t n = 8;
   const std::int32_t k = 12;
   const auto slots = make_slots(n, k, 48, 0.6, 7, 3);
@@ -185,16 +180,8 @@ TEST(DigestGolden, StateDigestSweepAcrossPoolTraceAndFaults) {
                    std::string(with_faults ? " faults" : ""));
       const RunResult plain = run(cfg, slots);
       expect_golden(plain, golden[circular ? 1 : 0][with_faults ? 1 : 0]);
-      for (const bool use_pool : {false, true}) {
-        for (const auto detail :
-             {obs::TraceDetail::kOff, obs::TraceDetail::kFull}) {
-          if (!use_pool && detail == obs::TraceDetail::kOff) continue;
-          const bool full = detail == obs::TraceDetail::kFull;
-          SCOPED_TRACE(std::string(use_pool ? "pool" : "") +
-                       (full ? " full-trace" : ""));
-          expect_runs_equal(plain, run(cfg, slots, use_pool, detail));
-        }
-      }
+      SCOPED_TRACE("full-trace");
+      expect_runs_equal(plain, run(cfg, slots, obs::TraceDetail::kFull));
       combos += 1;
     }
   }
@@ -289,7 +276,7 @@ TEST(DigestGolden, AllFaultedHealthMasks) {
     }
     core::DistributedScheduler sched(n, scheme, core::Algorithm::kAuto,
                                      core::Arbitration::kFifo, 41);
-    const auto decisions = sched.schedule_slot(slot, nullptr, &health, nullptr);
+    const auto decisions = sched.schedule_slot(slot, nullptr, &health);
     ASSERT_EQ(decisions.size(), slot.size());
     test::Fnv1a h;
     for (const auto& d : decisions) {
@@ -304,38 +291,6 @@ TEST(DigestGolden, AllFaultedHealthMasks) {
         << (cut_everything ? "cut" : "channel faults") << " decision hash 0x"
         << std::hex << h.value();
   }
-}
-
-TEST(DigestGolden, StepBatchIsBitIdenticalToSerialSteps) {
-  // step_batch's one-pass validation must change nothing: same per-slot
-  // stats, same summed stats, same final digest as W separate step() calls.
-  const std::int32_t n = 8;
-  const std::int32_t k = 12;
-  const auto slots = make_slots(n, k, 32, 0.6, 43, 2);
-  sim::InterconnectConfig cfg;
-  cfg.n_fibers = n;
-  cfg.scheme = core::ConversionScheme::circular(k, 2, 1);
-  cfg.seed = 47;
-
-  const auto serial = run(cfg, slots);
-  expect_golden(serial, {0x9143d91b14b20c7dULL, 0x30a0ab69ca6e6365ULL});
-
-  sim::Interconnect batched(cfg);
-  std::vector<sim::SlotStats> per_slot(slots.size());
-  const auto sum = batched.step_batch(slots, nullptr, per_slot);
-  ASSERT_EQ(per_slot.size(), serial.stats.size());
-  sim::SlotStats expect_sum;
-  for (std::size_t s = 0; s < per_slot.size(); ++s) {
-    expect_stats_eq(serial.stats[s], per_slot[s], s);
-    expect_sum.arrivals += per_slot[s].arrivals;
-    expect_sum.granted += per_slot[s].granted;
-    expect_sum.rejected += per_slot[s].rejected;
-  }
-  EXPECT_EQ(sum.arrivals, expect_sum.arrivals);
-  EXPECT_EQ(sum.granted, expect_sum.granted);
-  EXPECT_EQ(sum.rejected, expect_sum.rejected);
-  EXPECT_EQ(sum.busy_channels, per_slot.back().busy_channels);
-  EXPECT_EQ(sim::state_digest(batched), serial.digest);
 }
 
 TEST(DigestGolden, MaskedKernelsMatchScalarOnRandomInstances) {
@@ -383,8 +338,7 @@ TEST(DigestGolden, MaskedKernelsMatchScalarOnRandomInstances) {
     } else if (circular) {
       spec = core::break_first_available(rv, scheme, avail);
       core::break_first_available_masked_into(rv, scheme, avail_words,
-                                              nonempty, nullptr, scratch,
-                                              masked);
+                                              nonempty, scratch, masked);
       // The approximation too, while the packed instance is at hand.
       const auto approx = core::approx_break_first_available(rv, scheme, avail);
       core::ChannelAssignment approx_masked(k);

@@ -73,22 +73,39 @@ TEST(Distributed, MatchingSizePerFiberIsMaximum) {
 }
 
 TEST(Distributed, ParallelEqualsSerialInSize) {
-  util::ThreadPool pool(3);
+  // In a switch the N per-fiber schedulers run side by side, each seeing
+  // only its own destination subset. The serial fan-out must decide exactly
+  // what N independent port schedulers decide on those subsets.
   util::Rng rng(1010);
   const auto scheme = ConversionScheme::circular(8, 2, 2);
   DistributedScheduler serial(6, scheme, Algorithm::kAuto,
                               core::Arbitration::kFifo, 7);
-  DistributedScheduler parallel(6, scheme, Algorithm::kAuto,
-                                core::Arbitration::kFifo, 7);
+  std::vector<core::OutputPortScheduler> units;
+  for (std::int32_t fiber = 0; fiber < 6; ++fiber) {
+    units.emplace_back(scheme, Algorithm::kAuto, core::Arbitration::kFifo);
+  }
   for (int trial = 0; trial < 10; ++trial) {
     const auto requests = random_slot(rng, 6, 8, 0.6);
     const auto a = serial.schedule_slot(requests);
-    const auto b = parallel.schedule_slot(requests, nullptr, nullptr, &pool);
-    ASSERT_EQ(a.size(), b.size());
-    // FIFO arbitration + deterministic kernels: identical decisions.
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].granted, b[i].granted);
-      EXPECT_EQ(a[i].channel, b[i].channel);
+    ASSERT_EQ(a.size(), requests.size());
+    for (std::int32_t fiber = 0; fiber < 6; ++fiber) {
+      std::vector<core::Request> subset;
+      std::vector<std::size_t> origin;
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (requests[i].output_fiber != fiber) continue;
+        subset.push_back(core::Request{requests[i].input_fiber,
+                                       requests[i].wavelength, requests[i].id,
+                                       requests[i].duration});
+        origin.push_back(i);
+      }
+      const auto b =
+          units[static_cast<std::size_t>(fiber)].schedule(subset);
+      ASSERT_EQ(b.size(), subset.size());
+      // FIFO arbitration + deterministic kernels: identical decisions.
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        EXPECT_EQ(a[origin[j]].granted, b[j].granted);
+        EXPECT_EQ(a[origin[j]].channel, b[j].channel);
+      }
     }
   }
 }

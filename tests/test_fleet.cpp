@@ -2,19 +2,20 @@
 //
 // The contracts under test:
 //  * determinism — a fleet digest is a pure function of (config, seeds,
-//    slots stepped): thread counts, pinning, and step()/run() batching must
-//    not change it; any one shard's seed must;
+//    slots stepped): pinning and step()/run() batching must not change it;
+//    any one shard's seed must;
 //  * independence — shards never interact: a fleet of F shards equals F
 //    standalone interconnects run serially from the same derived seeds;
-//  * thread budget — the per-shard oversubscription clamp keeps the total
-//    spawned thread count within max(shards, budget) (the satellite fix for
-//    nested ThreadPool fan-out);
+//  * one thread per shard — a shard is one fabric on one driver thread, so
+//    the fleet drives exactly shards() threads and rejects any other
+//    threads_per_shard;
 //  * checkpoint/resume — one CheckpointStore chain per shard under
 //    <dir>/shard-<i>/ restores the whole fleet bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,27 +52,31 @@ fs::path fresh_dir(const std::string& name) {
 TEST(Fleet, DigestIsThreadCountAndPinningInvariant) {
   const std::uint64_t kSlots = 60;
   std::uint64_t reference = 0;
-  bool first = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    for (const bool pin : {false, true}) {
-      sim::FleetConfig cfg = fleet_config(3);
-      cfg.threads_per_shard = threads;
-      // A generous budget so the sweep actually varies the group size even
-      // on a small CI host; the clamp test below covers tight budgets.
-      cfg.max_total_threads = 3 * threads;
-      cfg.pin_cpus = pin;
-      sim::Fleet fleet(cfg);
-      fleet.run(kSlots);
-      if (first) {
-        reference = fleet.fleet_digest();
-        first = false;
-      } else {
-        EXPECT_EQ(fleet.fleet_digest(), reference)
-            << "threads=" << threads << " pin=" << pin;
-      }
+  for (const bool pin : {false, true}) {
+    sim::FleetConfig cfg = fleet_config(3);
+    cfg.pin_cpus = pin;
+    sim::Fleet fleet(cfg);
+    fleet.run(kSlots);
+    if (!pin) {
+      reference = fleet.fleet_digest();
+    } else {
+      EXPECT_EQ(fleet.fleet_digest(), reference) << "pinning moved the digest";
     }
   }
+}
+
+TEST(Fleet, DefaultConfigRunsOneThreadPerShard) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    sim::Fleet fleet(fleet_config(shards));
+    EXPECT_EQ(fleet.shards(), shards);
+    EXPECT_EQ(fleet.total_threads(), fleet.shards());
+  }
+}
+
+TEST(Fleet, RejectsThreadsPerShardAboveOne) {
+  sim::FleetConfig cfg = fleet_config(2);
+  cfg.threads_per_shard = 2;
+  EXPECT_THROW(sim::Fleet fleet(cfg), std::logic_error);
 }
 
 TEST(Fleet, StepAndRunBatchingAgree) {
@@ -140,32 +145,6 @@ TEST(Fleet, ShardsMatchStandaloneInterconnectsRunSerially) {
               sim::state_digest(fleet.shard_interconnect(shard)))
         << "shard " << shard << " must equal its standalone twin";
   }
-}
-
-TEST(Fleet, ClampNeverSpawnsMoreWorkersThanTheBudget) {
-  // The satellite regression: a 4-shard fleet on a small host (modeled by
-  // max_total_threads) must not multiply per-shard pools into more threads
-  // than cores, no matter what threads_per_shard asks for.
-  for (const std::size_t budget : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}, std::size_t{8}}) {
-    sim::FleetConfig cfg = fleet_config(4);
-    cfg.threads_per_shard = 64;  // deliberately absurd
-    cfg.max_total_threads = budget;
-    sim::Fleet fleet(cfg);
-    EXPECT_LE(fleet.total_threads(), std::max<std::size_t>(4, budget))
-        << "budget=" << budget;
-    EXPECT_GE(fleet.threads_per_shard(), 1u);
-    fleet.run(5);  // and it still serves
-    EXPECT_EQ(fleet.current_slot(), 5u);
-  }
-  // On a 1-thread budget every group collapses to its driver: no pools.
-  sim::FleetConfig tight = fleet_config(4);
-  tight.threads_per_shard = 8;
-  tight.max_total_threads = 4;
-  sim::Fleet fleet(tight);
-  EXPECT_EQ(fleet.threads_per_shard(), 1u);
-  EXPECT_EQ(fleet.pool_workers_per_shard(), 0u);
-  EXPECT_EQ(fleet.total_threads(), 4u);
 }
 
 TEST(Fleet, MergedMetricsEqualTheSumOfShardMetrics) {

@@ -2,6 +2,8 @@
 // the two Section-V policies.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "sim/interconnect.hpp"
 
 namespace wdm {
@@ -160,7 +162,9 @@ TEST(Interconnect, FiberGrantAccounting) {
 }
 
 TEST(Interconnect, ParallelStepMatchesSerial) {
-  util::ThreadPool pool(3);
+  // Software parallelism is one fabric per thread (sim::Fleet shards): a
+  // fabric stepped on another thread, concurrently with its twin on this
+  // one, must make the same decisions, because fabrics share no state.
   InterconnectConfig cfg;
   cfg.n_fibers = 4;
   cfg.scheme = ConversionScheme::circular(6, 1, 1);
@@ -179,8 +183,10 @@ TEST(Interconnect, ParallelStepMatchesSerial) {
         }
       }
     }
+    sim::SlotStats b;
+    std::jthread other([&] { b = parallel.step(arrivals); });
     const auto a = serial.step(arrivals);
-    const auto b = parallel.step(arrivals, &pool);
+    other.join();
     EXPECT_EQ(a.granted, b.granted);
     EXPECT_EQ(a.busy_channels, b.busy_channels);
   }

@@ -219,21 +219,6 @@ TEST(ObsRecorder, RingWrapKeepsNewestEvents) {
   EXPECT_EQ(rec.size(), 0u);
 }
 
-TEST(ObsRecorder, AppendSkipsNoneSentinels) {
-  TraceRecorder rec(TraceDetail::kFibers, 16);
-  std::vector<TraceEvent> staged(4);
-  staged[1].kind = EventKind::kFiberSchedule;
-  staged[1].fiber = 1;
-  staged[3].kind = EventKind::kFiberSchedule;
-  staged[3].fiber = 3;
-  rec.append(staged);
-  EXPECT_EQ(rec.size(), 2u);
-  std::vector<TraceEvent> out;
-  rec.snapshot(out);
-  EXPECT_EQ(out[0].fiber, 1);
-  EXPECT_EQ(out[1].fiber, 3);
-}
-
 TEST(ObsRecorder, StageTimerGatesOnLevelAndNull) {
   { const obs::StageTimer t(nullptr, Stage::kSlot, 0); }  // must be safe
 
@@ -266,7 +251,6 @@ TEST(ObsExport, ChromeTraceShapesSpansAndInstants) {
   fiber.b = 4;
   fiber.kind = EventKind::kFiberSchedule;
   fiber.detail = 1;
-  fiber.tid = 2;
   rec.record(fiber);
   TraceEvent shed;
   shed.ts_ns = 1100;
@@ -281,7 +265,9 @@ TEST(ObsExport, ChromeTraceShapesSpansAndInstants) {
   const std::string out = os.str();
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"wdm-interconnect\""), std::string::npos);
-  EXPECT_NE(out.find("\"worker 2\""), std::string::npos);
+  // One slot-loop thread carries every event.
+  EXPECT_NE(out.find("\"slot-loop\""), std::string::npos);
+  EXPECT_EQ(out.find("\"tid\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"name\": \"slot\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\": \"i\""), std::string::npos);
@@ -517,12 +503,13 @@ TEST(ObsIntegration, BudgetRotationRotatesTheDegradedFibers) {
     sched.set_trace_slot(static_cast<std::uint64_t>(rot));
 
     core::SlotBudget budget;
-    budget.op_budget = 2ull * static_cast<std::uint64_t>(scheme.degree()) *
+    budget.op_budget = std::uint64_t{2} *
+                       static_cast<std::uint64_t>(scheme.degree()) *
                        static_cast<std::uint64_t>(k);
     budget.rotation = rot;
     std::vector<core::PortDecision> decisions(requests.size());
     sched.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
-                             nullptr, decisions, &budget);
+                             &budget, decisions);
     EXPECT_EQ(budget.degraded_ports, 2) << "rotation " << rot;
 
     std::set<std::int32_t> degraded;
@@ -569,9 +556,9 @@ TEST(ObsIntegration, RotationNeverChangesHowManyPortsDegrade) {
       std::vector<core::PortDecision> da(requests.size());
       std::vector<core::PortDecision> db(requests.size());
       a.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
-                           nullptr, da, &budget_a);
+                           &budget_a, da);
       b.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
-                           nullptr, db, &budget_b);
+                           &budget_b, db);
       EXPECT_EQ(budget_a.degraded_ports, budget_b.degraded_ports);
       for (std::size_t i = 0; i < requests.size(); ++i) {
         ASSERT_EQ(da[i].granted, db[i].granted) << "trial " << trial;

@@ -19,7 +19,6 @@
 #include "sim/traffic.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm {
 namespace {
@@ -182,7 +181,7 @@ TEST(Degradation, OpBudgetDowngradesPortsAndStaysValid) {
     std::vector<core::PortDecision> decisions(requests.size());
     sched.schedule_slot_into(requests,
                              core::AvailabilityView(plane.data(), n_fibers, k),
-                             nullptr, nullptr, decisions, &budget);
+                             nullptr, &budget, decisions);
     // The budget is best-effort: a degraded port still costs its O(k) sweep,
     // so the charge may overshoot by at most k per degraded port — never by
     // a full exact sweep.
@@ -224,23 +223,28 @@ TEST(Degradation, OpBudgetDowngradesPortsAndStaysValid) {
 }
 
 TEST(Degradation, OpBudgetPlanIsPoolIndependent) {
-  // The degrade plan is computed serially in fiber order before scheduling,
-  // so the same slot degrades the same ports with or without a thread pool.
-  const auto scheme = core::ConversionScheme::circular(8, 1, 1);
+  // The degrade plan is computed in charge order from the partition alone,
+  // before any scheduling work: it equals the cost-model walk below, and the
+  // same slot through a twin scheduler degrades the same ports and makes
+  // the same decisions.
+  const std::int32_t n_fibers = 6;
+  const std::int32_t k = 8;
+  const auto scheme = core::ConversionScheme::circular(k, 1, 1);
   util::Rng rng(0xCAFE);
-  util::ThreadPool pool(4);
   for (int trial = 0; trial < 50; ++trial) {
-    core::DistributedScheduler serial(6, scheme,
-                                      core::Algorithm::kBreakFirstAvailable,
-                                      core::Arbitration::kRoundRobin, 3);
-    core::DistributedScheduler pooled(6, scheme,
-                                      core::Algorithm::kBreakFirstAvailable,
-                                      core::Arbitration::kRoundRobin, 3);
+    core::DistributedScheduler first(n_fibers, scheme,
+                                     core::Algorithm::kBreakFirstAvailable,
+                                     core::Arbitration::kRoundRobin, 3);
+    core::DistributedScheduler twin(n_fibers, scheme,
+                                    core::Algorithm::kBreakFirstAvailable,
+                                    core::Arbitration::kRoundRobin, 3);
     std::vector<core::SlotRequest> requests;
-    for (std::int32_t fiber = 0; fiber < 6; ++fiber) {
-      for (std::int32_t w = 0; w < 8; ++w) {
+    std::vector<bool> pending(static_cast<std::size_t>(n_fibers), false);
+    for (std::int32_t fiber = 0; fiber < n_fibers; ++fiber) {
+      for (std::int32_t w = 0; w < k; ++w) {
         if (rng.bernoulli(0.6)) {
           requests.push_back(request(0, w, fiber, requests.size() + 1));
+          pending[static_cast<std::size_t>(fiber)] = true;
         }
       }
     }
@@ -249,10 +253,27 @@ TEST(Degradation, OpBudgetPlanIsPoolIndependent) {
     budget_a.op_budget = budget_b.op_budget = 60;
     std::vector<core::PortDecision> a(requests.size());
     std::vector<core::PortDecision> b(requests.size());
-    serial.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
-                              nullptr, a, &budget_a);
-    pooled.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
-                              &pool, b, &budget_b);
+    first.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
+                             &budget_a, a);
+    twin.schedule_slot_into(requests, core::AvailabilityView{}, nullptr,
+                            &budget_b, b);
+
+    // Fibers in order (rotation 0): an exact sweep costs d*k, a degraded
+    // one k; a fiber degrades once its exact cost no longer fits.
+    const auto exact = static_cast<std::uint64_t>(scheme.degree() * k);
+    std::uint64_t charged = 0;
+    std::int32_t degraded = 0;
+    for (std::int32_t fiber = 0; fiber < n_fibers; ++fiber) {
+      if (!pending[static_cast<std::size_t>(fiber)]) continue;
+      if (charged + exact > budget_a.op_budget) {
+        charged += static_cast<std::uint64_t>(k);
+        degraded += 1;
+      } else {
+        charged += exact;
+      }
+    }
+    EXPECT_EQ(budget_a.degraded_ports, degraded) << "trial " << trial;
+    EXPECT_EQ(budget_a.ops_charged, charged) << "trial " << trial;
     EXPECT_EQ(budget_a.degraded_ports, budget_b.degraded_ports);
     EXPECT_EQ(budget_a.ops_charged, budget_b.ops_charged);
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -414,15 +435,14 @@ TEST(AdaptiveAdmission, AdaptiveFlagMismatchIsRejectedOnRestore) {
   EXPECT_THROW(sim::load_checkpoint(ss, target), std::logic_error);
 }
 
-// Replay determinism sweep: adaptive admission x wall-clock deadline x
-// checkpoint/restore mid-run x thread pool. Every cell must reproduce the
-// uninterrupted single-threaded run's state digest bit for bit.
+// Replay determinism sweep: adaptive admission x wall-clock deadline, each
+// restored from a mid-run checkpoint. Every cell must reproduce the
+// uninterrupted run's state digest bit for bit.
 TEST(AdaptiveAdmission, ReplayDeterminismSweep) {
   constexpr std::int32_t kFibers = 4;
   constexpr std::int32_t kWavelengths = 6;
   constexpr std::uint64_t kSlots = 40;
   constexpr std::uint64_t kSnapshotAt = 20;
-  util::ThreadPool pool(2);
 
   for (const bool adaptive : {false, true}) {
     for (const bool deadline : {false, true}) {
@@ -449,25 +469,23 @@ TEST(AdaptiveAdmission, ReplayDeterminismSweep) {
         original.step(trace.slots[slot]);
       }
       original.set_deadline_log(nullptr);
-      if (deadline) ASSERT_FALSE(trace.deadline_overruns.empty());
+      if (deadline) {
+        ASSERT_FALSE(trace.deadline_overruns.empty());
+      }
       const auto want = sim::state_digest(original);
 
-      for (const bool use_pool : {false, true}) {
-        const std::string cell = std::string("adaptive=") +
-                                 (adaptive ? "1" : "0") + " deadline=" +
-                                 (deadline ? "1" : "0") + " pool=" +
-                                 (use_pool ? "1" : "0");
-        std::stringstream frame(checkpoint.str());
-        sim::Interconnect resumed(cfg);
-        sim::load_checkpoint(frame, resumed);
-        resumed.set_deadline_script(&trace.deadline_overruns);
-        for (std::size_t slot = kSnapshotAt; slot < trace.slots.size();
-             ++slot) {
-          resumed.step(trace.slots[slot], use_pool ? &pool : nullptr);
-        }
-        resumed.set_deadline_script(nullptr);
-        EXPECT_EQ(sim::state_digest(resumed), want) << cell;
+      const std::string cell = std::string("adaptive=") +
+                               (adaptive ? "1" : "0") + " deadline=" +
+                               (deadline ? "1" : "0");
+      std::stringstream frame(checkpoint.str());
+      sim::Interconnect resumed(cfg);
+      sim::load_checkpoint(frame, resumed);
+      resumed.set_deadline_script(&trace.deadline_overruns);
+      for (std::size_t slot = kSnapshotAt; slot < trace.slots.size(); ++slot) {
+        resumed.step(trace.slots[slot]);
       }
+      resumed.set_deadline_script(nullptr);
+      EXPECT_EQ(sim::state_digest(resumed), want) << cell;
     }
   }
 }

@@ -2,6 +2,8 @@
 // paper's qualitative claims (conversion helps; d small ≈ full range).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "sim/simulation.hpp"
 
 namespace wdm {
@@ -75,12 +77,18 @@ TEST(Simulation, ConversionReducesLoss) {
 }
 
 TEST(Simulation, ThreadedRunProducesSaneResults) {
+  // Two simulations on two threads at once (one fabric per thread, as fleet
+  // shards run) must each be sane and agree with each other.
   auto cfg = base_config();
-  cfg.threads = 2;
   cfg.slots = 500;
+  sim::SimulationReport other;
+  std::jthread worker([&] { other = sim::run_simulation(cfg); });
   const auto r = sim::run_simulation(cfg);
+  worker.join();
   EXPECT_EQ(r.slots, 500u);
   EXPECT_LE(r.losses, r.arrivals);
+  EXPECT_EQ(other.arrivals, r.arrivals);
+  EXPECT_EQ(other.losses, r.losses);
 }
 
 TEST(Simulation, MultiSlotHoldingRaisesUtilization) {

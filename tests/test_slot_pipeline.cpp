@@ -1,9 +1,8 @@
 // The zero-allocation slot pipeline must be a pure performance change: the
 // flat-CSR / reusable-scratch fast path (schedule_slot_into, schedule_into)
 // must produce decision-for-decision identical results to the original
-// nested-vector path, warm scratch must behave exactly like a cold call, and
-// the thread pool must not perturb any outcome. A fixed-seed digest pins the
-// whole simulation pipeline end to end.
+// nested-vector path, and warm scratch must behave exactly like a cold call.
+// A fixed-seed digest pins the whole simulation pipeline end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 #include "sim/interconnect.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace wdm {
 namespace {
@@ -156,39 +154,6 @@ TEST(SlotPipeline, MisshapenViewRejectsAllRequests) {
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_FALSE(decisions[0].granted);
   EXPECT_EQ(decisions[0].reason, core::RejectReason::kBadAvailabilityMask);
-}
-
-bool same_stats(const sim::SlotStats& a, const sim::SlotStats& b) {
-  return a.arrivals == b.arrivals && a.granted == b.granted &&
-         a.rejected == b.rejected &&
-         a.rejected_malformed == b.rejected_malformed &&
-         a.rejected_faulted == b.rejected_faulted &&
-         a.deferred_faulted == b.deferred_faulted &&
-         a.retry_attempts == b.retry_attempts &&
-         a.retry_successes == b.retry_successes &&
-         a.preempted == b.preempted && a.dropped_faulted == b.dropped_faulted &&
-         a.busy_channels == b.busy_channels &&
-         a.arrivals_per_class == b.arrivals_per_class &&
-         a.granted_per_class == b.granted_per_class;
-}
-
-// The thread pool only distributes independent per-fiber schedules; with it
-// on or off, every slot's accounting must be bit-identical.
-TEST(SlotPipeline, ThreadPoolDoesNotPerturbResults) {
-  sim::InterconnectConfig cfg;
-  cfg.n_fibers = 8;
-  cfg.scheme = core::ConversionScheme::circular(8, 1, 1);
-  cfg.seed = 2024;
-  sim::Interconnect serial(cfg);
-  sim::Interconnect pooled(cfg);
-  util::ThreadPool pool(2);
-  util::Rng rng(11);
-  for (int slot = 0; slot < 200; ++slot) {
-    const auto arrivals = random_slot(rng, cfg.n_fibers, 8, 24);
-    const auto s = serial.step(arrivals, nullptr);
-    const auto p = pooled.step(arrivals, &pool);
-    ASSERT_TRUE(same_stats(s, p)) << "slot " << slot;
-  }
 }
 
 // End-to-end digest pin: one fixed-seed simulation covering the rearrange

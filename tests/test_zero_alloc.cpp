@@ -206,8 +206,8 @@ TEST(ZeroAlloc, WarmFourShardFleetStepIsAllocationFree) {
   // The fleet-level contract: once every shard's arenas and scratch buffers
   // are warm, a whole-fleet step — traffic generation, scheduling, plane
   // updates, metrics, the slot barrier, and the SlotStats merge — performs
-  // zero heap allocations on any thread. The counter is global, so shard
-  // driver and pool threads are counted too.
+  // zero heap allocations on any thread. The counter is global, so the shard
+  // driver threads are counted too.
   if (!kOptimizedBuild) GTEST_SKIP() << "debug cross-checks allocate";
   sim::FleetConfig cfg;
   cfg.shards = 4;
