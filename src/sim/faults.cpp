@@ -1,6 +1,7 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -16,6 +17,17 @@ void check_rates(const MtbfMttr& rates, const char* what) {
 }
 
 }  // namespace
+
+FaultInjector::Thresholds FaultInjector::thresholds(
+    const MtbfMttr& rates) noexcept {
+  if (!rates.enabled()) return {};
+  // p is in (0, 1] (both times are >= 1 slot), so ceil(p * 2^53) fits and
+  // m < ceil(p * 2^53) holds exactly when uniform01() < p.
+  const auto of = [](double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  };
+  return {of(1.0 / rates.mtbf), of(1.0 / rates.mttr)};
+}
 
 FaultInjector::FaultInjector(std::int32_t n_fibers, std::int32_t k,
                              FaultConfig config, std::uint64_t seed)
@@ -36,6 +48,9 @@ FaultInjector::FaultInjector(std::int32_t n_fibers, std::int32_t k,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.slot < b.slot;
                    });
+  converter_rates_ = thresholds(config_.converters);
+  channel_rates_ = thresholds(config_.channels);
+  fiber_rates_ = thresholds(config_.fibers);
   const auto n_channels =
       static_cast<std::size_t>(n_fibers_) * static_cast<std::size_t>(k_);
   converter_down_.assign(n_channels, 0);
@@ -43,14 +58,8 @@ FaultInjector::FaultInjector(std::int32_t n_fibers, std::int32_t k,
   fiber_down_.assign(static_cast<std::size_t>(n_fibers_), 0);
   health_.assign(static_cast<std::size_t>(n_fibers_),
                  core::HealthMask::healthy(k_));
-}
-
-bool FaultInjector::set_state(std::uint8_t& down, bool make_down) {
-  if (down == (make_down ? 1 : 0)) return false;
-  down = make_down ? 1 : 0;
-  down_components_ += make_down ? 1 : -1;
-  (make_down ? failures_ : repairs_) += 1;
-  return true;
+  changed_fibers_.reserve(static_cast<std::size_t>(n_fibers_));
+  fiber_changed_.assign(static_cast<std::size_t>(n_fibers_), 0);
 }
 
 void FaultInjector::record_fault(FaultKind kind, std::int32_t fiber,
@@ -69,29 +78,80 @@ void FaultInjector::record_fault(FaultKind kind, std::int32_t fiber,
   telemetry_->record(e);
 }
 
-void FaultInjector::apply(FaultKind kind, std::int32_t fiber,
-                          std::int32_t channel, bool repair) {
-  const std::size_t at = static_cast<std::size_t>(fiber) *
-                             static_cast<std::size_t>(k_) +
-                         static_cast<std::size_t>(channel);
-  bool flipped = false;
+void FaultInjector::refresh_channel(std::size_t at) {
+  const auto kk = static_cast<std::size_t>(k_);
+  // A dead channel shadows a dead converter on the same channel.
+  health_[at / kk].channels[at % kk] =
+      channel_down_[at] != 0     ? core::ChannelHealth::kChannelFaulted
+      : converter_down_[at] != 0 ? core::ChannelHealth::kConverterFaulted
+                                 : core::ChannelHealth::kHealthy;
+}
+
+std::vector<std::uint8_t>& FaultInjector::down_flags(FaultKind kind) {
   switch (kind) {
     case FaultKind::kConverter:
-      flipped = set_state(converter_down_[at], !repair);
-      break;
+      return converter_down_;
     case FaultKind::kChannel:
-      flipped = set_state(channel_down_[at], !repair);
-      break;
+      return channel_down_;
     case FaultKind::kFiber:
-      flipped = set_state(fiber_down_[static_cast<std::size_t>(fiber)], !repair);
       break;
   }
-  if (flipped) record_fault(kind, fiber, channel, repair);
+  return fiber_down_;
+}
+
+void FaultInjector::flip(FaultKind kind, std::size_t at, bool make_down) {
+  const auto kk = static_cast<std::size_t>(k_);
+  const std::size_t fiber = kind == FaultKind::kFiber ? at : at / kk;
+  const std::size_t channel = kind == FaultKind::kFiber ? 0 : at % kk;
+  down_flags(kind)[at] = make_down ? 1 : 0;
+  if (kind == FaultKind::kFiber) {
+    health_[fiber].fiber_faulted = make_down;
+  } else {
+    refresh_channel(at);
+  }
+  down_components_ += make_down ? 1 : -1;
+  (make_down ? failures_ : repairs_) += 1;
+  if (fiber_changed_[fiber] == 0) {
+    fiber_changed_[fiber] = 1;
+    changed_fibers_.push_back(static_cast<std::int32_t>(fiber));
+  }
+  record_fault(kind, static_cast<std::int32_t>(fiber),
+               static_cast<std::int32_t>(channel), !make_down);
+}
+
+void FaultInjector::apply(FaultKind kind, std::int32_t fiber,
+                          std::int32_t channel, bool repair) {
+  const std::size_t at =
+      kind == FaultKind::kFiber
+          ? static_cast<std::size_t>(fiber)
+          : static_cast<std::size_t>(fiber) * static_cast<std::size_t>(k_) +
+                static_cast<std::size_t>(channel);
+  // Failing a component that is down, or repairing one that is up, is a
+  // no-op.
+  if ((down_flags(kind)[at] != 0) != repair) return;
+  flip(kind, at, !repair);
+}
+
+void FaultInjector::tick_class(FaultKind kind, Thresholds t) {
+  // One draw per component whatever its state; the threshold is picked by
+  // the state, and a hit always flips it. The stream runs on a local copy
+  // (flip() never draws), so its state stays in registers across the loop.
+  const std::vector<std::uint8_t>& down = down_flags(kind);
+  util::Rng rng = rng_;
+  for (std::size_t at = 0; at < down.size(); ++at) {
+    const std::uint64_t m = rng.next() >> 11;
+    const bool is_down = down[at] != 0;
+    if (m < (is_down ? t.repair : t.fail)) [[unlikely]] {
+      flip(kind, at, !is_down);
+    }
+  }
+  rng_ = rng;
 }
 
 void FaultInjector::tick() {
   const std::uint64_t slot = slots_;
   slots_ += 1;
+  clear_changed_fibers();
 
   // Scripted events for this slot (the script is sorted by slot).
   while (next_event_ < config_.script.size() &&
@@ -105,67 +165,28 @@ void FaultInjector::tick() {
   // variate per slot whatever its state, so the stream position depends
   // only on (geometry, slot) — a fault schedule replays from its seed and
   // stays aligned under any mixture of scripted and stochastic events.
-  // The per-class rates are read into locals once: the lambda's uint8_t&
-  // stores may alias config_, so the compiler cannot hoist 1/mtbf and
-  // 1/mttr out of the loops itself. Same doubles, same fault schedule.
-  const auto transition = [&](std::uint8_t& down, double p_fail,
-                              double p_repair, FaultKind kind,
-                              std::int32_t fiber, std::int32_t channel) {
-    const double u = rng_.uniform01();
-    if (down == 0) {
-      if (u < p_fail && set_state(down, true)) {
-        record_fault(kind, fiber, channel, false);
-      }
-    } else {
-      if (u < p_repair && set_state(down, false)) {
-        record_fault(kind, fiber, channel, true);
-      }
-    }
-  };
   if (config_.converters.enabled()) {
-    const double p_fail = 1.0 / config_.converters.mtbf;
-    const double p_repair = 1.0 / config_.converters.mttr;
-    for (std::size_t at = 0; at < converter_down_.size(); ++at) {
-      transition(converter_down_[at], p_fail, p_repair, FaultKind::kConverter,
-                 static_cast<std::int32_t>(at) / k_,
-                 static_cast<std::int32_t>(at) % k_);
-    }
+    tick_class(FaultKind::kConverter, converter_rates_);
   }
   if (config_.channels.enabled()) {
-    const double p_fail = 1.0 / config_.channels.mtbf;
-    const double p_repair = 1.0 / config_.channels.mttr;
-    for (std::size_t at = 0; at < channel_down_.size(); ++at) {
-      transition(channel_down_[at], p_fail, p_repair, FaultKind::kChannel,
-                 static_cast<std::int32_t>(at) / k_,
-                 static_cast<std::int32_t>(at) % k_);
-    }
+    tick_class(FaultKind::kChannel, channel_rates_);
   }
   if (config_.fibers.enabled()) {
-    const double p_fail = 1.0 / config_.fibers.mtbf;
-    const double p_repair = 1.0 / config_.fibers.mttr;
-    for (std::size_t fiber = 0; fiber < fiber_down_.size(); ++fiber) {
-      transition(fiber_down_[fiber], p_fail, p_repair, FaultKind::kFiber,
-                 static_cast<std::int32_t>(fiber), 0);
-    }
+    tick_class(FaultKind::kFiber, fiber_rates_);
   }
+}
 
-  rebuild_health();
+void FaultInjector::clear_changed_fibers() {
+  for (const std::int32_t fiber : changed_fibers_) {
+    fiber_changed_[static_cast<std::size_t>(fiber)] = 0;
+  }
+  changed_fibers_.clear();
 }
 
 void FaultInjector::rebuild_health() {
-  for (std::int32_t fiber = 0; fiber < n_fibers_; ++fiber) {
-    auto& mask = health_[static_cast<std::size_t>(fiber)];
-    mask.fiber_faulted = fiber_down_[static_cast<std::size_t>(fiber)] != 0;
-    for (std::int32_t ch = 0; ch < k_; ++ch) {
-      const std::size_t at = static_cast<std::size_t>(fiber) *
-                                 static_cast<std::size_t>(k_) +
-                             static_cast<std::size_t>(ch);
-      // A dead channel shadows a dead converter on the same channel.
-      mask.channels[static_cast<std::size_t>(ch)] =
-          channel_down_[at] != 0    ? core::ChannelHealth::kChannelFaulted
-          : converter_down_[at] != 0 ? core::ChannelHealth::kConverterFaulted
-                                     : core::ChannelHealth::kHealthy;
-    }
+  for (std::size_t at = 0; at < channel_down_.size(); ++at) refresh_channel(at);
+  for (std::size_t fiber = 0; fiber < fiber_down_.size(); ++fiber) {
+    health_[fiber].fiber_faulted = fiber_down_[fiber] != 0;
   }
 }
 
@@ -204,6 +225,7 @@ void FaultInjector::restore_state(util::SnapshotReader& r) {
   failures_ = r.u64();
   repairs_ = r.u64();
   rebuild_health();
+  clear_changed_fibers();
 }
 
 }  // namespace wdm::sim

@@ -18,10 +18,19 @@
 // via util::derive_stream_seed, never shared with traffic or scheduling) and
 // draws exactly one variate per stochastic component per slot regardless of
 // state, so a fault schedule replays bit-for-bit from its seed and enabling
-// faults never perturbs the arrival sequence of the same master seed.
+// faults never perturbs the arrival sequence of the same master seed. A
+// component flips when its draw's mantissa m = next() >> 11 is below
+// ceil(p * 2^53), p = 1/MTBF while up and 1/MTTR while down: exactly the
+// uniform01() < p compare (util::BernoulliSampler), with no double per draw.
+//
+// Cost: one tight loop per component class per slot (2Nk + N draws). The
+// health masks are maintained per flip, so a slot in which nothing flips
+// touches none of them, and changed_fibers() lists the fibers a slot's flips
+// touched, so consumers can re-check those fibers alone.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/health.hpp"
@@ -87,6 +96,13 @@ class FaultInjector {
     return health_;
   }
 
+  /// Output fibers with at least one flip (scripted or stochastic) in the
+  /// most recent tick(), each listed once, in order of first flip. Every
+  /// other fiber's health mask is unchanged since the previous tick.
+  std::span<const std::int32_t> changed_fibers() const noexcept {
+    return changed_fibers_;
+  }
+
   /// True while any component is down — lets callers skip the degraded
   /// scheduling path entirely on healthy slots.
   bool any_fault() const noexcept { return down_components_ > 0; }
@@ -103,17 +119,33 @@ class FaultInjector {
   }
 
   /// Checkpoint of the injector's mutable state (RNG stream, script cursor,
-  /// per-component up/down flags); the health masks are rebuilt on restore.
+  /// per-component up/down flags); the health masks are rebuilt on restore
+  /// and changed_fibers() is empty until the next tick().
   void save_state(util::SnapshotWriter& w) const;
   void restore_state(util::SnapshotReader& r);
 
  private:
+  /// Integer flip thresholds of one stochastic class, ceil(p * 2^53).
+  struct Thresholds {
+    std::uint64_t fail = 0;    // p = 1/MTBF, compared while up
+    std::uint64_t repair = 0;  // p = 1/MTTR, compared while down
+  };
+  static Thresholds thresholds(const MtbfMttr& rates) noexcept;
+
   void apply(FaultKind kind, std::int32_t fiber, std::int32_t channel,
              bool repair);
-  /// Returns true when the component actually flipped state.
-  bool set_state(std::uint8_t& down, bool make_down);
+  /// Up/down flags of one component class, indexed fiber * k + channel
+  /// (by fiber for kFiber).
+  std::vector<std::uint8_t>& down_flags(FaultKind kind);
+  /// One stochastic transition per component of a class.
+  void tick_class(FaultKind kind, Thresholds t);
+  /// Flips component `at` of `kind`: its flag, counters, telemetry, its
+  /// health entry and the changed-fiber list.
+  void flip(FaultKind kind, std::size_t at, bool make_down);
   void record_fault(FaultKind kind, std::int32_t fiber, std::int32_t channel,
                     bool repair);
+  void refresh_channel(std::size_t at);
+  void clear_changed_fibers();
   void rebuild_health();
 
   std::int32_t n_fibers_;
@@ -128,7 +160,12 @@ class FaultInjector {
   std::int64_t down_components_ = 0;
   std::uint64_t failures_ = 0;
   std::uint64_t repairs_ = 0;
+  Thresholds converter_rates_;
+  Thresholds channel_rates_;
+  Thresholds fiber_rates_;
   std::vector<core::HealthMask> health_;
+  std::vector<std::int32_t> changed_fibers_;
+  std::vector<std::uint8_t> fiber_changed_;  // [fiber], 1 while listed
   obs::TraceRecorder* telemetry_ = nullptr;
 };
 

@@ -210,25 +210,30 @@ std::vector<std::vector<std::uint8_t>> Interconnect::availability() const {
   return masks;
 }
 
+bool Interconnect::connection_dead(const core::HealthMask& mask,
+                                   std::size_t i, std::size_t u) const {
+  if (out_remaining_[i] == 0) return false;
+  const auto channel_health = mask.channel(static_cast<core::Channel>(u));
+  // A converter fault only kills connections that are actually converting;
+  // a straight-through connection (wavelength == channel) keeps flowing
+  // without the converter.
+  return mask.fiber_faulted ||
+         channel_health == core::ChannelHealth::kChannelFaulted ||
+         (channel_health == core::ChannelHealth::kConverterFaulted &&
+          out_wavelength_[i] != static_cast<core::Wavelength>(u));
+}
+
 void Interconnect::teardown_faulted(
-    const std::vector<core::HealthMask>& health, SlotStats& stats) {
+    const std::vector<core::HealthMask>& health,
+    std::span<const std::int32_t> fibers, SlotStats& stats) {
   const auto kk = static_cast<std::size_t>(k());
   const std::size_t wpf = core::mask_words(k());
-  for (std::size_t fiber = 0; fiber < health.size(); ++fiber) {
+  for (const std::int32_t f : fibers) {
+    const auto fiber = static_cast<std::size_t>(f);
     const auto& mask = health[fiber];
     for (std::size_t u = 0; u < kk; ++u) {
       const std::size_t i = fiber * kk + u;
-      if (out_remaining_[i] == 0) continue;
-      const auto channel_health = mask.channel(static_cast<core::Channel>(u));
-      // A converter fault only kills connections that are actually
-      // converting; a straight-through connection (wavelength == channel)
-      // keeps flowing without the converter.
-      const bool dead =
-          mask.fiber_faulted ||
-          channel_health == core::ChannelHealth::kChannelFaulted ||
-          (channel_health == core::ChannelHealth::kConverterFaulted &&
-           out_wavelength_[i] != static_cast<core::Wavelength>(u));
-      if (!dead) continue;
+      if (!connection_dead(mask, i, u)) continue;
       stats.dropped_faulted += 1;
       release_input(out_input_fiber_[i], out_wavelength_[i]);
       out_remaining_[i] = 0;
@@ -413,6 +418,18 @@ SlotStats Interconnect::step(std::span<const core::SlotRequest> arrivals) {
                  (rebuilt[fiber][u] != 0));
     }
   }
+  // Every live connection satisfies the current health after a step, under
+  // either policy: teardown_faulted, which visits only the fibers whose
+  // health changed this slot, must have left nothing for a full sweep.
+  if (faults_ != nullptr) {
+    const auto& health = faults_->health();
+    for (std::size_t fiber = 0; fiber < health.size(); ++fiber) {
+      for (std::size_t u = 0; u < static_cast<std::size_t>(k()); ++u) {
+        WDM_DCHECK(!connection_dead(
+            health[fiber], fiber * static_cast<std::size_t>(k()) + u, u));
+      }
+    }
+  }
 #endif
   return stats;
 }
@@ -553,57 +570,52 @@ void Interconnect::schedule_new_arrivals(
   // workloads): a malformed request is dropped and counted, never thrown on.
   // The scheduler re-validates what it can see, but the input-fiber upper
   // bound — needed before occupy() touches per-input-channel state — is only
-  // known here. The copy into valid_ is lazy: an all-valid slot (the steady-state common case)
-  // schedules straight off the caller's span.
-  valid_.clear();
-  bool copied = false;
-  std::int32_t max_class = 0;
-  for (std::size_t idx = 0; idx < arrivals.size(); ++idx) {
-    const auto& r = arrivals[idx];
-    const bool ok =
-        r.input_fiber >= 0 && r.input_fiber < config_.n_fibers &&
-        r.output_fiber >= 0 && r.output_fiber < config_.n_fibers &&
-        r.wavelength >= 0 && r.wavelength < k() && r.duration >= 1 &&
-        r.priority >= 0;
-    if (!ok) {
-      stats.rejected += 1;
-      stats.rejected_malformed += 1;
-      if (!copied) {
-        valid_.assign(arrivals.begin(),
-                      arrivals.begin() + static_cast<std::ptrdiff_t>(idx));
-        copied = true;
-      }
-      continue;
-    }
-    max_class = std::max(max_class, r.priority);
-    if (copied) valid_.push_back(r);
-  }
-  std::span<const core::SlotRequest> admitted =
-      copied ? std::span<const core::SlotRequest>(valid_) : arrivals;
-
+  // known here.
+  //
   // Admission: fresh arrivals pass through the token buckets after the
   // ingress queue drained (run_ingress), so queued requests get the slot's
   // tokens first. Non-admitted requests are queued or shed inside offer().
-  // Compaction mutates the vector, so this path always owns a copy.
-  if (admission_ != nullptr) {
-    const obs::StageTimer admission_timer(telemetry_, obs::Stage::kAdmission,
-                                          slot_);
-    if (!copied) valid_.assign(admitted.begin(), admitted.end());
-    std::size_t kept = 0;
-    for (const auto& r : valid_) {
-      if (admission_->offer(r, stats) == AdmissionControl::Verdict::kAdmit) {
-        valid_[kept++] = r;
+  // max_class counts only the kept requests (shedding may remove a class's
+  // only request).
+  //
+  // The copy into valid_ is lazy: while every request so far is kept (the
+  // steady state without admission), the slot schedules straight off the
+  // caller's span; the first dropped request copies the kept prefix.
+  valid_.clear();
+  bool copied = false;
+  std::int32_t max_class = 0;
+  {
+    const obs::StageTimer admission_timer(
+        admission_ != nullptr ? telemetry_ : nullptr, obs::Stage::kAdmission,
+        slot_);
+    for (std::size_t idx = 0; idx < arrivals.size(); ++idx) {
+      const auto& r = arrivals[idx];
+      const bool ok =
+          r.input_fiber >= 0 && r.input_fiber < config_.n_fibers &&
+          r.output_fiber >= 0 && r.output_fiber < config_.n_fibers &&
+          r.wavelength >= 0 && r.wavelength < k() && r.duration >= 1 &&
+          r.priority >= 0;
+      bool kept = ok;
+      if (!ok) {
+        stats.rejected += 1;
+        stats.rejected_malformed += 1;
+      } else if (admission_ != nullptr) {
+        kept = admission_->offer(r, stats) == AdmissionControl::Verdict::kAdmit;
       }
-    }
-    valid_.resize(kept);
-    admitted = valid_;
-    // Shedding may have removed the only request of the highest class; the
-    // per-class accounting below sizes itself off what actually survived.
-    max_class = 0;
-    for (const auto& r : admitted) {
+      if (!kept) {
+        if (!copied) {
+          valid_.assign(arrivals.begin(),
+                        arrivals.begin() + static_cast<std::ptrdiff_t>(idx));
+          copied = true;
+        }
+        continue;
+      }
       max_class = std::max(max_class, r.priority);
+      if (copied) valid_.push_back(r);
     }
   }
+  const std::span<const core::SlotRequest> admitted =
+      copied ? std::span<const core::SlotRequest>(valid_) : arrivals;
 
   // Partition by QoS class (strict priority, 0 = highest); the common
   // single-class case stays a single scheduling pass — and schedules the
@@ -657,7 +669,9 @@ void Interconnect::step_no_disturb(
   // Under kNoDisturb a connection is pinned to its exact channel, so losing
   // that channel (or its converter mid-conversion, or the fiber) kills the
   // connection outright.
-  if (health != nullptr) teardown_faulted(*health, stats);
+  if (health != nullptr) {
+    teardown_faulted(*health, faults_->changed_fibers(), stats);
+  }
   run_retries(health, stats, budget);
   run_ingress(health, stats, budget);
   schedule_new_arrivals(arrivals, health, stats, budget);

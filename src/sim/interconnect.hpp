@@ -223,9 +223,18 @@ class Interconnect {
   void step_rearrange(std::span<const core::SlotRequest> arrivals,
                       const std::vector<core::HealthMask>* health,
                       SlotStats& stats, core::SlotBudget* budget);
+  /// True when channel u (flat index i) carries a connection that `mask`
+  /// no longer allows: its fiber or channel is down, or its converter is
+  /// down and the connection converts.
+  bool connection_dead(const core::HealthMask& mask, std::size_t i,
+                       std::size_t u) const;
   /// Tears down ongoing connections whose channel, converter, or fiber
-  /// failed (kNoDisturb policy; kRearrange re-homes instead).
+  /// failed (kNoDisturb policy; kRearrange re-homes instead). Visits only
+  /// `fibers`, the injector's changed_fibers(): every live connection
+  /// satisfied the health of the previous step, so only a fiber whose
+  /// health changed can hold a dead one.
   void teardown_faulted(const std::vector<core::HealthMask>& health,
+                        std::span<const std::int32_t> fibers,
                         SlotStats& stats);
   /// Re-offers due retry-queue entries, ahead of fresh arrivals.
   void run_retries(const std::vector<core::HealthMask>* health,

@@ -58,16 +58,15 @@ TrafficGenerator::TrafficGenerator(std::int32_t n_fibers, std::int32_t k,
       arrival_(config_.load),
       burst_on_(burst_on_probability(config_)),
       burst_off_(burst_off_probability(config_)),
-      holding_(1.0 / config_.mean_holding),
+      holding_(config_.holding == HoldingTime::kGeometric
+                   ? 1.0 / config_.mean_holding
+                   : 1.0),
+      class_(config_.class_mix),
       burst_dest_(static_cast<std::size_t>(n_fibers) *
                       static_cast<std::size_t>(k),
                   -1) {}
 
-std::int32_t TrafficGenerator::sample_destination() {
-  return static_cast<std::int32_t>(zipf_.sample(rng_));
-}
-
-std::int32_t TrafficGenerator::sample_duration() {
+std::int32_t TrafficGenerator::sample_duration(util::Rng& rng) const {
   switch (config_.holding) {
     case HoldingTime::kSingleSlot:
       return 1;
@@ -76,20 +75,9 @@ std::int32_t TrafficGenerator::sample_duration() {
           1, static_cast<std::int32_t>(std::llround(config_.mean_holding)));
     case HoldingTime::kGeometric:
       return static_cast<std::int32_t>(
-          std::min<std::uint64_t>(holding_.sample(rng_), 1u << 20));
+          std::min<std::uint64_t>(holding_.sample(rng), 1u << 20));
   }
   return 1;
-}
-
-std::int32_t TrafficGenerator::sample_priority() {
-  if (config_.class_mix.size() == 1) return 0;
-  const double u = rng_.uniform01();
-  double cum = 0.0;
-  for (std::size_t c = 0; c < config_.class_mix.size(); ++c) {
-    cum += config_.class_mix[c];
-    if (u < cum) return static_cast<std::int32_t>(c);
-  }
-  return static_cast<std::int32_t>(config_.class_mix.size()) - 1;
 }
 
 std::vector<core::SlotRequest> TrafficGenerator::next_slot(
@@ -119,39 +107,49 @@ void TrafficGenerator::next_slot_into(
 // loops; the order fixes which draw feeds which channel.
 void TrafficGenerator::bernoulli_slot(const std::uint8_t* busy,
                                       std::vector<core::SlotRequest>& out) {
+  util::Rng rng = rng_;
+  std::uint64_t id = next_id_;
   std::size_t ch = 0;
   for (std::int32_t fiber = 0; fiber < n_fibers_; ++fiber) {
     for (core::Wavelength w = 0; w < k_; ++w, ++ch) {
       if (busy != nullptr && busy[ch] != 0) continue;
-      if (!arrival_.sample(rng_)) continue;
-      out.push_back(core::SlotRequest{fiber, w, sample_destination(),
-                                      next_id_++, sample_duration(),
-                                      sample_priority()});
+      if (!arrival_.sample(rng)) continue;
+      const auto dest = static_cast<std::int32_t>(zipf_.sample(rng));
+      out.push_back(core::SlotRequest{fiber, w, dest, id++,
+                                      sample_duration(rng),
+                                      class_.sample(rng)});
     }
   }
+  rng_ = rng;
+  next_id_ = id;
 }
 
 void TrafficGenerator::on_off_slot(const std::uint8_t* busy,
                                    std::vector<core::SlotRequest>& out) {
+  util::Rng rng = rng_;
+  std::uint64_t id = next_id_;
   std::size_t ch = 0;
   for (std::int32_t fiber = 0; fiber < n_fibers_; ++fiber) {
     for (core::Wavelength w = 0; w < k_; ++w, ++ch) {
       // The Markov chain advances even while the channel is busy
       // transmitting (the burst keeps "arriving" but is suppressed).
-      auto& dest = burst_dest_[ch];
-      if (dest < 0) {
-        if (burst_on_.sample(rng_)) dest = sample_destination();
+      std::int32_t dest = burst_dest_[ch];
+      if (dest < 0 && burst_on_.sample(rng)) {
+        dest = static_cast<std::int32_t>(zipf_.sample(rng));
       }
       if (dest >= 0) {
         if (busy == nullptr || busy[ch] == 0) {
-          out.push_back(core::SlotRequest{fiber, w, dest, next_id_++,
-                                          sample_duration(),
-                                          sample_priority()});
+          out.push_back(core::SlotRequest{fiber, w, dest, id++,
+                                          sample_duration(rng),
+                                          class_.sample(rng)});
         }
-        if (burst_off_.sample(rng_)) dest = -1;
+        if (burst_off_.sample(rng)) dest = -1;
       }
+      burst_dest_[ch] = dest;
     }
   }
+  rng_ = rng;
+  next_id_ = id;
 }
 
 void TrafficGenerator::save_state(util::SnapshotWriter& w) const {

@@ -8,8 +8,11 @@
 //    paper's references [11][13][14]);
 //  * On-off (bursty) — each input channel is a two-state Markov source; ON
 //    emits one packet per slot toward a per-burst destination. For a given
-//    offered load and mean burst length b: p(off->on) = load/((1-load) b),
-//    p(on->off) = 1/b.
+//    load ρ and mean burst length b: p(off->on) = min(1, ρ/((1-ρ) b)),
+//    p(on->off) = 1/b. A source that turns on emits in that same slot, so
+//    an OFF period averages 1/p(off->on) - 1 silent slots and the realized
+//    load is b / (b + b(1-ρ)/ρ - 1), not ρ: 0.533 at ρ = 0.5, b = 8, and
+//    1.0 for every ρ >= b/(b+1) (p(off->on) clamps to 1).
 //
 // Destinations are uniform or Zipf-skewed hotspots. Holding times (Section
 // V) are 1 slot, a fixed D, or geometric with a given mean.
@@ -29,7 +32,10 @@ enum class DestinationPattern : std::uint8_t { kUniform, kHotspot };
 enum class HoldingTime : std::uint8_t { kSingleSlot, kFixed, kGeometric };
 
 struct TrafficConfig {
-  double load = 0.5;  ///< offered load per input wavelength channel, [0, 1]
+  /// Offered load per input wavelength channel, [0, 1]: the per-slot
+  /// arrival probability of a Bernoulli source; on-off sources realize more
+  /// (see above).
+  double load = 0.5;
   ArrivalProcess arrivals = ArrivalProcess::kBernoulli;
   double mean_burst_length = 8.0;  ///< on-off: mean ON duration in slots
   DestinationPattern destinations = DestinationPattern::kUniform;
@@ -78,9 +84,10 @@ class TrafficGenerator {
   void on_off_slot(const std::uint8_t* busy,
                    std::vector<core::SlotRequest>& out);
 
-  std::int32_t sample_destination();
-  std::int32_t sample_duration();
-  std::int32_t sample_priority();
+  // The slot loops draw from a local copy of rng_ (written back at the end
+  // of the slot), so the stream stays in registers across the requests they
+  // store.
+  std::int32_t sample_duration(util::Rng& rng) const;
 
   std::int32_t n_fibers_;
   std::int32_t k_;
@@ -93,6 +100,7 @@ class TrafficGenerator {
   util::BernoulliSampler burst_on_;   // on-off: off -> on
   util::BernoulliSampler burst_off_;  // on-off: on -> off
   util::GeometricSampler holding_;    // kGeometric, p = 1/mean_holding
+  util::CategoricalSampler class_;    // QoS class, weights class_mix
   // On-off per-channel state: current burst destination, or -1 when OFF.
   std::vector<std::int32_t> burst_dest_;
   std::uint64_t next_id_ = 0;

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -97,14 +98,52 @@ BernoulliSampler::BernoulliSampler(double p) noexcept
 GeometricSampler::GeometricSampler(double p) noexcept
     : log1m_p_(std::log1p(-p)), draws_(p < 1.0) {
   WDM_DCHECK(p > 0.0 && p <= 1.0);
+  if (!draws_) return;
+  constexpr std::size_t kBuckets = std::size_t{1} << kGuideBits;
+  constexpr double kWidth = 0x1.0p53 / static_cast<double>(kBuckets);
+  // The formula's switch from v to v+1 lies within a few units of m of the
+  // closed-form step m_v (log, division and expm1 each round by an ulp or
+  // so); buckets this close to a step are left to the formula.
+  constexpr double kGuard = 0x1.0p20;
+  // Variate v covers m in (m_{v-1}, m_v], with m_0 = 0 closing v = 1 below.
+  double prev_step = 0.0;
+  for (std::uint64_t v = 1; v <= UINT8_MAX; ++v) {
+    const double step =
+        -std::expm1(static_cast<double>(v) * log1m_p_) * 0x1.0p53;
+    const double lo = v == 1 ? 0.0 : prev_step + kGuard;
+    const double hi = step - kGuard;
+    // Buckets [j*W, (j+1)*W - 1] wholly inside [lo, hi].
+    const auto first = static_cast<std::int64_t>(std::ceil(lo / kWidth));
+    const auto last = std::min(
+        static_cast<std::int64_t>(std::floor((hi + 1.0) / kWidth)) - 1,
+        static_cast<std::int64_t>(kBuckets) - 1);
+    if (first <= last) {
+      std::fill(guide_.begin() + first, guide_.begin() + last + 1,
+                static_cast<std::uint8_t>(v));
+    }
+    // The steps only come closer from here on: once they are narrower than
+    // a bucket, every later bucket straddles one.
+    if (step - prev_step < kWidth) break;
+    prev_step = step;
+  }
 }
 
-std::uint64_t GeometricSampler::sample(Rng& rng) const noexcept {
-  if (!draws_) return 1;
-  // Inversion: ceil(ln(U) / ln(1-p)), support {1, 2, ...}.
-  const double u = 1.0 - rng.uniform01();  // in (0, 1]
+std::uint64_t GeometricSampler::formula(std::uint64_t m) const noexcept {
+  const double u = 1.0 - static_cast<double>(m) * 0x1.0p-53;  // in (0, 1]
   const double g = std::ceil(std::log(u) / log1m_p_);
   return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+}
+
+CategoricalSampler::CategoricalSampler(std::span<const double> weights) {
+  double cum = 0.0;
+  for (std::size_t c = 0; c + 1 < weights.size(); ++c) {
+    cum += weights[c];
+    // Clamped to [0, 2^53], where the compare is already decided for all m.
+    const double t = std::ceil(cum * 0x1.0p53);
+    thresholds_.push_back(t <= 0.0        ? 0
+                          : t >= 0x1.0p53 ? std::uint64_t{1} << 53
+                                          : static_cast<std::uint64_t>(t));
+  }
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha)

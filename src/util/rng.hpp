@@ -8,6 +8,7 @@
 // can own its own generator without locking.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -122,19 +123,72 @@ class BernoulliSampler {
 };
 
 /// Geometric(p) on {1, 2, ...} (mean 1/p) — e.g. the number of slots a
-/// connection holds — by inversion: ceil(ln(U) / ln(1-p)), U = 1 - uniform01()
-/// in (0, 1], with ln(1-p) computed once per sampler. The division is kept
-/// (a multiply by its reciprocal would round differently), so each draw is
-/// the formula's. p == 1 consumes no draw. Requires 0 < p <= 1.
+/// connection holds — by inversion of one draw: with m = next() >> 11 (the
+/// 53 bits uniform01() is made of) and U = 1 - m * 2^-53 in (0, 1], the
+/// variate is ceil(ln(U) / ln(1-p)), at least 1, with ln(1-p) computed once
+/// per sampler (the division is kept: a multiply by its reciprocal would
+/// round differently). p == 1 consumes no draw. Requires 0 < p <= 1.
+///
+/// The formula is nondecreasing in m and steps from j to j+1 near
+/// m_j = (1 - (1-p)^j) * 2^53. A guide table over the top kGuideBits bits of
+/// m holds the variate of every bucket that lies clear of all steps by a
+/// guard band far wider than the formula's rounding (a few units of m); a
+/// bucket that straddles a step, or lies in the tail where the steps come
+/// closer together than a bucket, holds 0 and evaluates the formula on the
+/// same m. So sample() returns exactly the formula's variate from the same
+/// single draw. The formula's share of draws is 1.0% at p = 1/2, 2.9% at
+/// p = 0.1, and 100% from p = 1/2048 down (the first step is narrower than
+/// a bucket).
 class GeometricSampler {
  public:
+  static constexpr int kGuideBits = 11;
+
   explicit GeometricSampler(double p) noexcept;
 
-  std::uint64_t sample(Rng& rng) const noexcept;
+  std::uint64_t sample(Rng& rng) const noexcept {
+    return draws_ ? value_of(rng.next() >> 11) : 1;
+  }
+
+  /// The variate for mantissa m in [0, 2^53).
+  std::uint64_t value_of(std::uint64_t m) const noexcept {
+    const std::uint8_t v = guide_[m >> (53 - kGuideBits)];
+    return v != 0 ? v : formula(m);
+  }
 
  private:
+  std::uint64_t formula(std::uint64_t m) const noexcept;
+
   double log1m_p_;  // std::log1p(-p)
   bool draws_;      // p < 1
+  // Variate per bucket of m, 0 = evaluate the formula (a straddling or tail
+  // bucket, or a variate above 255). Held inline: no allocation to touch.
+  std::array<std::uint8_t, std::size_t{1} << kGuideBits> guide_{};
+};
+
+/// Categorical draw over classes 0..n-1 with the given weights, deciding as
+/// the cumulative compare "the first c with uniform01() < w_0 + ... + w_c,
+/// else n-1" does, with the partial sums accumulated in the same double
+/// order. As for BernoulliSampler, u < cum_c exactly when m < ceil(cum_c *
+/// 2^53) for the draw's mantissa m, and the thresholds are nondecreasing, so
+/// the class is the count of the first n-1 thresholds at or below m: one
+/// draw, no data-dependent branch. A single class draws nothing.
+class CategoricalSampler {
+ public:
+  explicit CategoricalSampler(std::span<const double> weights);
+
+  std::int32_t sample(Rng& rng) const noexcept {
+    return thresholds_.empty() ? 0 : index_of(rng.next() >> 11);
+  }
+
+  /// The class for mantissa m in [0, 2^53).
+  std::int32_t index_of(std::uint64_t m) const noexcept {
+    std::int32_t c = 0;
+    for (const std::uint64_t t : thresholds_) c += t <= m ? 1 : 0;
+    return c;
+  }
+
+ private:
+  std::vector<std::uint64_t> thresholds_;  // ceil(cum_c * 2^53), c < n-1
 };
 
 /// Zipf(α) sampler over {0, ..., n-1} with precomputed inverse CDF; used for

@@ -20,8 +20,12 @@
 #include "sim/interconnect.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/simulation.hpp"
+#include "sim/traffic.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot.hpp"
 
 namespace wdm {
 namespace {
@@ -628,6 +632,160 @@ TEST(ChainFaults, FaultedChainRunsAndReplays) {
   EXPECT_EQ(a.injected, healthy.injected);
   EXPECT_LE(a.delivered, healthy.delivered);
   EXPECT_GT(a.dropped_faulted, 0u);
+}
+
+// ------------------------------------------------------------ golden pins
+//
+// Decision pins of the fault plane, recorded from the injector that drew one
+// uniform01() per component and compared it as a double against 1/MTBF or
+// 1/MTTR, and rebuilt all N*k health entries after every tick. Any change to
+// which draw feeds which component, to a threshold's rounding, to the order
+// of scripted and stochastic events or to a health entry moves a pin.
+
+// All three stochastic classes plus a script that overlaps them: a channel
+// and its converter failed together, a fiber cut and splice, a repeated
+// failure that must be a no-op, and a repair of a component already up.
+FaultConfig golden_fault_config() {
+  FaultConfig cfg;
+  cfg.converters = {150.0, 12.0};
+  cfg.channels = {250.0, 9.0};
+  cfg.fibers = {600.0, 7.0};
+  cfg.script = {FaultEvent{5, FaultKind::kChannel, 1, 2, false},
+                FaultEvent{5, FaultKind::kConverter, 1, 2, false},
+                FaultEvent{40, FaultKind::kFiber, 3, 0, false},
+                FaultEvent{90, FaultKind::kFiber, 3, 0, true},
+                FaultEvent{120, FaultKind::kChannel, 0, 0, false},
+                FaultEvent{121, FaultKind::kChannel, 0, 0, false},
+                FaultEvent{300, FaultKind::kChannel, 1, 2, true},
+                FaultEvent{300, FaultKind::kConverter, 1, 2, true},
+                FaultEvent{800, FaultKind::kConverter, 6, 5, true},
+                FaultEvent{1500, FaultKind::kConverter, 7, 5, false},
+                FaultEvent{1700, FaultKind::kConverter, 7, 5, true}};
+  return cfg;
+}
+
+constexpr std::int32_t kGoldenFibers = 8;
+constexpr std::int32_t kGoldenK = 6;
+constexpr std::uint64_t kGoldenFaultSeed = 0xFA17;
+constexpr int kGoldenFaultSlots = 2000;
+
+// One slot's observable fault state: every health entry, the counters and
+// the any_fault() summary.
+void hash_fault_state(test::Fnv1a& h, const FaultInjector& inj) {
+  for (const HealthMask& mask : inj.health()) {
+    h.add(static_cast<std::uint8_t>(mask.fiber_faulted ? 1 : 0));
+    h.add(static_cast<std::uint64_t>(mask.channels.size()));
+    for (const ChannelHealth c : mask.channels) {
+      h.add(static_cast<std::uint8_t>(c));
+    }
+  }
+  h.add(inj.failures_injected());
+  h.add(inj.repairs_applied());
+  h.add(inj.down_components());
+  h.add(static_cast<std::uint8_t>(inj.any_fault() ? 1 : 0));
+}
+
+TEST(FaultGolden, HealthFailuresAndRepairsPerSlot) {
+  FaultInjector inj(kGoldenFibers, kGoldenK, golden_fault_config(),
+                    kGoldenFaultSeed);
+  test::Fnv1a h;
+  for (int slot = 0; slot < kGoldenFaultSlots; ++slot) {
+    inj.tick();
+    hash_fault_state(h, inj);
+  }
+  EXPECT_EQ(inj.failures_injected(), 1004u);
+  EXPECT_EQ(inj.repairs_applied(), 999u);
+  EXPECT_EQ(h.value(), 0xe830ffba9a2081e6ULL) << "0x" << std::hex << h.value();
+}
+
+// A checkpoint taken mid-run restores into an injector whose own state has
+// drifted (other seed, other slot count, other faults down) and continues
+// with the same health and counters, slot for slot.
+TEST(FaultGolden, MidRunSaveRestoreContinuesIdentically) {
+  constexpr int kSaveAt = kGoldenFaultSlots / 2;
+  FaultInjector a(kGoldenFibers, kGoldenK, golden_fault_config(),
+                  kGoldenFaultSeed);
+  for (int slot = 0; slot < kSaveAt; ++slot) a.tick();
+  util::SnapshotWriter w;
+  a.save_state(w);
+
+  FaultInjector b(kGoldenFibers, kGoldenK, golden_fault_config(), 99);
+  for (int slot = 0; slot < 37; ++slot) b.tick();
+  auto r = util::SnapshotReader::from_payload(w.payload());
+  b.restore_state(r);
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_EQ(a.slots(), b.slots());
+  ASSERT_EQ(a.health(), b.health());
+
+  test::Fnv1a ha, hb;
+  for (int slot = kSaveAt; slot < kGoldenFaultSlots; ++slot) {
+    a.tick();
+    b.tick();
+    ASSERT_EQ(a.health(), b.health()) << "diverged at slot " << slot;
+    hash_fault_state(ha, a);
+    hash_fault_state(hb, b);
+  }
+  EXPECT_EQ(ha.value(), hb.value());
+  EXPECT_EQ(hb.value(), 0x403e195af29b880fULL)
+      << "0x" << std::hex << hb.value();
+}
+
+// The fault plane seen through a live fabric: multi-slot holds keep
+// connections up across failures, so kNoDisturb teardown runs on most
+// slots. Pins the final state digest and the connections torn down.
+struct FaultedFabricGolden {
+  std::uint64_t digest = 0;
+  std::uint64_t dropped_faulted = 0;
+  std::uint64_t granted = 0;
+};
+
+FaultedFabricGolden run_faulted_fabric(sim::OccupiedPolicy policy) {
+  sim::InterconnectConfig cfg;
+  cfg.n_fibers = 12;
+  cfg.scheme = ConversionScheme::circular(8, 1, 1);
+  cfg.policy = policy;
+  cfg.seed = 2024;
+  cfg.faults.converters = {120.0, 10.0};
+  cfg.faults.channels = {200.0, 8.0};
+  cfg.faults.fibers = {700.0, 6.0};
+  cfg.faults.script = {FaultEvent{50, FaultKind::kFiber, 2, 0, false},
+                       FaultEvent{80, FaultKind::kFiber, 2, 0, true},
+                       FaultEvent{200, FaultKind::kChannel, 5, 3, false},
+                       FaultEvent{260, FaultKind::kChannel, 5, 3, true}};
+  cfg.retry.max_retries = 2;
+  sim::Interconnect ic(cfg);
+  sim::TrafficConfig traffic;
+  traffic.load = 0.8;
+  traffic.destinations = sim::DestinationPattern::kHotspot;
+  traffic.hotspot_alpha = 0.7;
+  traffic.holding = sim::HoldingTime::kGeometric;
+  traffic.mean_holding = 5.0;
+  sim::TrafficGenerator gen(cfg.n_fibers, 8, traffic, 4048);
+  std::vector<std::uint8_t> busy;
+  std::vector<core::SlotRequest> arrivals;
+  FaultedFabricGolden out;
+  for (int slot = 0; slot < 1500; ++slot) {
+    ic.input_channel_busy_into(busy);
+    gen.next_slot_into(busy, arrivals);
+    const sim::SlotStats stats = ic.step(arrivals);
+    out.dropped_faulted += stats.dropped_faulted;
+    out.granted += stats.granted;
+  }
+  out.digest = sim::state_digest(ic);
+  return out;
+}
+
+TEST(FaultGolden, FaultedInterconnectDigestAndTeardowns) {
+  const auto no_disturb = run_faulted_fabric(sim::OccupiedPolicy::kNoDisturb);
+  EXPECT_EQ(no_disturb.digest, 0x25298a5eaca166a1ULL)
+      << "0x" << std::hex << no_disturb.digest;
+  EXPECT_EQ(no_disturb.dropped_faulted, 970u);
+  EXPECT_EQ(no_disturb.granted, 21998u);
+  const auto rearrange = run_faulted_fabric(sim::OccupiedPolicy::kRearrange);
+  EXPECT_EQ(rearrange.digest, 0x5cfc0c84c598b8e0ULL)
+      << "0x" << std::hex << rearrange.digest;
+  EXPECT_EQ(rearrange.dropped_faulted, 322u);
+  EXPECT_EQ(rearrange.granted, 21866u);
 }
 
 }  // namespace

@@ -267,8 +267,6 @@ TEST(Rng, BernoulliSamplerDegenerateCasesDrawNothing) {
   EXPECT_EQ(a.next(), b.next());
 }
 
-// The hoisted ln(1-p) gives the variates of the inversion formula with
-// ln(1-p) evaluated on every draw, and p = 1 consumes no draw.
 TEST(Rng, GeometricSamplerMatchesInversionFormula) {
   for (const double p : {1.0 / 2.0, 1.0 / 3.5, 1.0 / 4.0, 1e-3}) {
     const util::GeometricSampler sampler(p);
@@ -284,6 +282,122 @@ TEST(Rng, GeometricSamplerMatchesInversionFormula) {
   util::Rng a(61), b(61);
   EXPECT_EQ(util::GeometricSampler(1.0).sample(a), 1u);
   EXPECT_EQ(a.next(), b.next());
+}
+
+// The inversion formula on the draw's mantissa m, as the sampler evaluated
+// it before the guide table: U = 1 - uniform01(), ceil(ln U / ln(1-p)), >= 1.
+std::uint64_t geometric_formula(double p, std::uint64_t m) {
+  const double u = 1.0 - static_cast<double>(m) * 0x1.0p-53;
+  const double g = std::ceil(std::log(u) / std::log1p(-p));
+  return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+}
+
+// Every guide-table bucket must give the formula's variate: probe both ends
+// of every bucket and the mantissas just outside them, the closed-form steps
+// (where the formula switches value) with their neighbours, then run ten
+// million draws in lockstep with the formula.
+TEST(GeometricSampler, TableMatchesFormula) {
+  constexpr std::uint64_t kMantissas = 1ULL << 53;
+  constexpr int kShift = 53 - util::GeometricSampler::kGuideBits;
+  constexpr std::uint64_t kBuckets = 1ULL << util::GeometricSampler::kGuideBits;
+  for (const double p : {1.0, 0.999, 2.0 / 3.0, 0.5, 0.4, 1.0 / 3.0,
+                         1.0 / 3.5, 0.25, 0.1, 0.01, 1e-3, 1e-4}) {
+    const util::GeometricSampler sampler(p);
+    if (p == 1.0) {
+      util::Rng a(67), b(67);
+      EXPECT_EQ(sampler.sample(a), 1u);
+      EXPECT_EQ(a.next(), b.next()) << "p = 1 must not draw";
+      continue;
+    }
+    std::vector<std::uint64_t> probes;
+    const auto around = [&probes](std::uint64_t m) {
+      for (std::uint64_t d = 0; d <= 2; ++d) {
+        if (m >= d) probes.push_back(m - d);
+        if (m + d < kMantissas) probes.push_back(m + d);
+      }
+    };
+    for (std::uint64_t j = 0; j < kBuckets; ++j) {
+      around(j << kShift);
+      around(((j + 1) << kShift) - 1);
+    }
+    for (int v = 1; v <= 4096; ++v) {
+      const double step = -std::expm1(v * std::log1p(-p)) * 0x1.0p53;
+      if (step >= 0x1.0p53) break;
+      around(static_cast<std::uint64_t>(step));
+    }
+    for (const std::uint64_t m : probes) {
+      ASSERT_EQ(sampler.value_of(m), geometric_formula(p, m))
+          << "p=" << p << " m=" << m;
+    }
+    util::Rng a(71), b(71);
+    for (int i = 0; i < 10'000'000; ++i) {
+      const std::uint64_t want = geometric_formula(p, b.next() >> 11);
+      ASSERT_EQ(sampler.sample(a), want) << "p=" << p << " draw " << i;
+    }
+    EXPECT_EQ(a.next(), b.next()) << "one draw per sample, p=" << p;
+  }
+}
+
+// The class a cumulative double compare picks: the first c with
+// u < w_0 + ... + w_c, else the last class.
+std::int32_t categorical_formula(const std::vector<double>& weights,
+                                 double u) {
+  double cum = 0.0;
+  for (std::size_t c = 0; c < weights.size(); ++c) {
+    cum += weights[c];
+    if (u < cum) return static_cast<std::int32_t>(c);
+  }
+  return static_cast<std::int32_t>(weights.size()) - 1;
+}
+
+// Integer thresholds decide as the double compare on every mantissa next to
+// a partial sum, on mixes with zero weights and with sums a little under and
+// over 1, and over a million lockstep draws each.
+TEST(CategoricalSampler, MatchesCumulativeCompare) {
+  const std::vector<std::vector<double>> mixes = {
+      {1.0},
+      {0.5, 0.5},
+      {0.3, 0.7},
+      {0.5, 0.25, 0.25},
+      {1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0},
+      {0.0, 1.0},
+      {1.0, 0.0},
+      {0.2, 0.0, 0.8},
+      {0.0, 0.0, 0.5, 0.0, 0.5, 0.0},
+      {0.5, 0.495},
+      {0.3, 0.3, 0.395},
+      {0.0, 0.995},
+      {0.5, 0.505},
+      {0.6, 0.405},
+      {0.25, 0.25, 0.25, 0.255},
+      {0.1, 0.2, 0.3, 0.4}};
+  constexpr std::uint64_t kMantissas = 1ULL << 53;
+  for (const auto& mix : mixes) {
+    const util::CategoricalSampler sampler(mix);
+    std::vector<std::uint64_t> probes = {0, 1, kMantissas - 2, kMantissas - 1};
+    double cum = 0.0;
+    for (const double w : mix) {
+      cum += w;
+      const double edge = std::min(std::ceil(cum * 0x1.0p53), 0x1.0p53);
+      const auto e = static_cast<std::uint64_t>(edge);
+      for (std::uint64_t d = 0; d <= 2; ++d) {
+        if (e >= d) probes.push_back(e - d);
+        if (e + d < kMantissas) probes.push_back(e + d);
+      }
+    }
+    for (const std::uint64_t m : probes) {
+      const double u = static_cast<double>(m) * 0x1.0p-53;
+      ASSERT_EQ(sampler.index_of(m), categorical_formula(mix, u))
+          << "mix size " << mix.size() << " m=" << m;
+    }
+    util::Rng a(73), b(73);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::int32_t want =
+          mix.size() == 1 ? 0 : categorical_formula(mix, b.uniform01());
+      ASSERT_EQ(sampler.sample(a), want) << "mix size " << mix.size();
+    }
+    EXPECT_EQ(a.next(), b.next()) << "one draw per class, none for one class";
+  }
 }
 
 TEST(Rng, ShuffleIsPermutation) {
