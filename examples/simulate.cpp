@@ -70,7 +70,9 @@ bool parse_shard_faults(const std::string& spec,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+/// The whole run; main() turns any configuration error it throws into
+/// exit status 2.
+int run(int argc, char** argv) {
   using namespace wdm;
 
   util::Cli cli("simulate",
@@ -161,6 +163,26 @@ int main(int argc, char** argv) {
                "recover the newest verified checkpoint chain from "
                "--checkpoint-dir and continue the run from there");
   if (!cli.parse(argc, argv)) return 1;
+
+  // Values the model cannot run with fail here, all of them at once, with
+  // exit status 2; a silently clamped or ignored option would hide a typo.
+  std::vector<std::string> errors;
+  if (cli.get_int("n") < 1) errors.push_back("--n must be at least 1");
+  if (cli.get_int("k") < 1) errors.push_back("--k must be at least 1");
+  const double load = cli.get_double("load");
+  if (!(load >= 0.0 && load <= 1.0)) {
+    errors.push_back("--load must be in [0, 1]");
+  }
+  if (cli.get_int("trace-capacity") < 1) {
+    errors.push_back("--trace-capacity must be at least 1");
+  }
+  if (cli.get_int("checkpoint-every") > 0 && cli.get("checkpoint-dir").empty()) {
+    errors.push_back("--checkpoint-every needs --checkpoint-dir");
+  }
+  if (!errors.empty()) {
+    for (const auto& e : errors) std::cerr << "simulate: " << e << "\n";
+    return 2;
+  }
 
   const auto n = static_cast<std::int32_t>(cli.get_int("n"));
   const auto k = static_cast<std::int32_t>(cli.get_int("k"));
@@ -565,4 +587,13 @@ int main(int argc, char** argv) {
     server.stop();
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "simulate: " << e.what() << "\n";
+    return 2;
+  }
 }

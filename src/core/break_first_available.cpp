@@ -54,45 +54,76 @@ void validate_inputs(const RequestVector& requests,
                 "availability mask must have one entry per channel");
 }
 
-/// adjacent_vertex_bound over either availability form, in one O(k) pass.
-/// Wavelength i reaches the channel run [i-e, i+f] and channel i is reached
-/// from the wavelength run [i-f, i+e] (mod k); d < k, so each run holds d
-/// distinct entries and both neighbourhood counts slide by one per step.
-template <typename FreeFn>
-std::int32_t vertex_bound(const RequestVector& requests,
-                          const ConversionScheme& scheme, FreeFn&& is_free) {
+/// Sizes the scratch and checks the inputs of a word-kernel call.
+void prepare_masked(const RequestVector& requests,
+                    const ConversionScheme& scheme,
+                    std::span<const std::uint64_t> avail_words,
+                    std::span<const std::uint64_t> nonempty_words,
+                    BfaScratch& s) {
+  validate_scheme(requests, scheme);
+  WDM_CHECK_MSG(avail_words.size() == mask_words(scheme.k()) &&
+                    nonempty_words.size() == mask_words(scheme.k()),
+                "packed masks must have mask_words(k) words");
+  s.reserve(scheme.k());
+}
+
+/// kNear = OR over j in [0, d) of `in` rotated down by (j - shift) mod k:
+/// bit i is set iff any of in's bits i-shift .. i-shift+d-1 (mod k) is.
+/// With the availability and shift e that is "wavelength i has a free
+/// adjacent channel"; with the nonempty mask and shift f, "channel i has a
+/// pending adjacent wavelength".
+void or_rotations(const std::uint64_t* in, std::int32_t k, std::int32_t d,
+                  std::int32_t shift, BfaScratch& s) {
+  std::uint64_t* near = s.mask(BfaScratch::kNear);
+  std::uint64_t* rotation = s.mask(BfaScratch::kRotation);
+  mask_zero(near, k);
+  for (std::int32_t j = 0; j < d; ++j) {
+    mask_rotate(in, k, mod_k(j - shift, k), rotation);
+    for (std::size_t i = 0; i < mask_words(k); ++i) near[i] |= rotation[i];
+  }
+}
+
+/// pick_breaking_wavelength over the packed masks: the lowest set bit of
+/// nonempty & free-near. Leaves the free-near mask in kNear, and the
+/// nonempty mask rotated down by the result in kRotatedNonempty.
+Wavelength pick_breaking_wavelength_masked(const ConversionScheme& scheme,
+                                           const std::uint64_t* avail,
+                                           const std::uint64_t* nonempty,
+                                           BfaScratch& s) {
   const std::int32_t k = scheme.k();
-  const std::vector<std::int32_t>& counts = requests.counts();
-  const auto free_at = [&](Channel v) { return is_free(v) ? 1 : 0; };
-  const auto pending_at = [&counts](Wavelength w) {
-    return counts[static_cast<std::size_t>(w)] > 0 ? 1 : 0;
-  };
-  const auto next = [k](std::int32_t x) { return x + 1 == k ? 0 : x + 1; };
-  Channel ch_out = mod_k(-scheme.e(), k);  // leaves wavelength i's run next
-  Channel ch_in = ch_out;                  // enters it next
-  Wavelength w_out = mod_k(-scheme.f(), k);
-  Wavelength w_in = w_out;
-  std::int32_t free_near = 0;     // free channels adjacent to wavelength i
-  std::int32_t pending_near = 0;  // pending wavelengths adjacent to channel i
-  for (std::int32_t s = 0; s < scheme.degree(); ++s) {
-    free_near += free_at(ch_in);
-    pending_near += pending_at(w_in);
-    ch_in = next(ch_in);
-    w_in = next(w_in);
+  or_rotations(avail, k, scheme.degree(), scheme.e(), s);
+  const std::uint64_t* near = s.mask(BfaScratch::kNear);
+  for (std::size_t i = 0; i < mask_words(k); ++i) {
+    const std::uint64_t live = nonempty[i] & near[i];
+    if (live == 0) continue;
+    const auto w_i = static_cast<Wavelength>(i * 64) + std::countr_zero(live);
+    mask_rotate(nonempty, k, w_i, s.mask(BfaScratch::kRotatedNonempty));
+    return w_i;
   }
+  return kNone;
+}
+
+/// adjacent_vertex_bound over the packed masks, with kNear holding the
+/// free-near mask: the requests of wavelengths with a free adjacent channel
+/// against the free channels with a pending adjacent wavelength.
+std::int32_t vertex_bound_masked(const RequestVector& requests,
+                                 const ConversionScheme& scheme,
+                                 const std::uint64_t* avail,
+                                 const std::uint64_t* nonempty,
+                                 BfaScratch& s) {
+  const std::int32_t k = scheme.k();
+  std::uint64_t* near = s.mask(BfaScratch::kNear);
   std::int32_t live_requests = 0;
-  std::int32_t live_channels = 0;
-  for (std::int32_t i = 0; i < k; ++i) {
-    live_requests += free_near > 0 ? counts[static_cast<std::size_t>(i)] : 0;
-    live_channels += pending_near > 0 ? free_at(i) : 0;
-    free_near += free_at(ch_in) - free_at(ch_out);
-    pending_near += pending_at(w_in) - pending_at(w_out);
-    ch_in = next(ch_in);
-    ch_out = next(ch_out);
-    w_in = next(w_in);
-    w_out = next(w_out);
+  for (std::size_t i = 0; i < mask_words(k); ++i) {
+    for (std::uint64_t live = nonempty[i] & near[i]; live != 0;
+         live &= live - 1) {
+      live_requests += requests.counts()[i * 64 + static_cast<std::size_t>(
+                                                      std::countr_zero(live))];
+    }
   }
-  return std::min(live_requests, live_channels);
+  or_rotations(nonempty, k, scheme.degree(), scheme.f(), s);
+  for (std::size_t i = 0; i < mask_words(k); ++i) near[i] &= avail[i];
+  return std::min(live_requests, mask_popcount(near, k));
 }
 
 /// The exhaustive Table-3 sweep over w_i's free adjacent channels, shared by
@@ -100,14 +131,15 @@ std::int32_t vertex_bound(const RequestVector& requests,
 /// breaking at channel u. The first candidate runs straight into `out`; each
 /// later one runs into the scratch candidate and is swapped in only when it
 /// grants strictly more, so `out` is always the first candidate of maximum
-/// size so far. The sweep stops once that reaches min(requests, free
-/// channels), or else adjacent_vertex_bound; the first candidate to reach an
-/// upper bound on the maximum is the first of maximum size, so the winner is
-/// unchanged.
-template <typename FreeFn, typename RunFn>
+/// size so far. The sweep stops once that reaches min(requests,
+/// free_channels), or else adjacent_vertex_bound (bound()); the first
+/// candidate to reach an upper bound on the maximum is the first of maximum
+/// size, so the winner is unchanged.
+template <typename FreeFn, typename BoundFn, typename RunFn>
 void sweep_breaks(const RequestVector& requests, const ConversionScheme& scheme,
-                  Wavelength w_i, FreeFn&& is_free, RunFn&& run,
-                  BfaScratch& scratch, ChannelAssignment& out) {
+                  Wavelength w_i, std::int32_t free_channels, FreeFn&& is_free,
+                  BoundFn&& bound_fn, RunFn&& run, BfaScratch& scratch,
+                  ChannelAssignment& out) {
   const std::int32_t deg = scheme.adjacency_count(w_i);
   std::int32_t idx = 0;
   while (!is_free(scheme.adjacency_at(w_i, idx))) {
@@ -121,12 +153,8 @@ void sweep_breaks(const RequestVector& requests, const ConversionScheme& scheme,
     const Channel u = scheme.adjacency_at(w_i, idx);
     if (!is_free(u)) continue;
     if (bound < 0) {
-      std::int32_t free_channels = 0;
-      for (Channel v = 0; v < scheme.k(); ++v) {
-        free_channels += is_free(v) ? 1 : 0;
-      }
       bound = std::min(requests.total(), free_channels);
-      if (out.granted < bound) bound = vertex_bound(requests, scheme, is_free);
+      if (out.granted < bound) bound = bound_fn();
     }
     if (out.granted >= bound) break;
     ChannelAssignment& cand = scratch.candidate;
@@ -237,6 +265,80 @@ void single_break_unchecked(const RequestVector& requests,
   }
 }
 
+/// single_break_unchecked over the packed masks. Same state machine, on
+/// masks rotated into the candidate's own order: the rotated availability
+/// holds channel u+1+vp (mod k) at bit vp and the rotated nonempty mask
+/// w_i+κ (mod k) at bit κ. The channel loop takes one countr_zero step per
+/// free channel up to vp = k-2 (position k-1 is u itself, the breaking
+/// channel, never visited, exactly like the byte vp <= k-2 loop), and the
+/// left pointer one per pending wavelength (the byte advance() steps
+/// through empty wavelengths without ever exiting its while loop, so
+/// landing directly on the next pending wavelength reaches the identical
+/// state). All modular quantities stay division-free closed forms.
+void single_break_masked(const RequestVector& requests,
+                         const ConversionScheme& scheme,
+                         const std::uint64_t* avail, BfaScratch& s,
+                         Wavelength w_i, Channel u, ChannelAssignment& out) {
+  const std::int32_t k = scheme.k();
+  const std::int32_t d = scheme.degree();
+  const std::vector<std::int32_t>& counts = requests.counts();
+  out.reset(k);
+  out.source[static_cast<std::size_t>(u)] = w_i;
+  out.granted = 1;
+  const Channel first = u + 1 == k ? 0 : u + 1;  // rotated position 0
+  std::uint64_t* rotated_avail = s.mask(BfaScratch::kRotatedAvail);
+  const std::uint64_t* rotated_nonempty = s.mask(BfaScratch::kRotatedNonempty);
+  mask_rotate(avail, k, first, rotated_avail);
+  mask_clear(rotated_avail, k - 1);
+
+  const std::int32_t plus_side_span =
+      fwd(w_i, mod_k(static_cast<std::int64_t>(u) + scheme.e(), k), k);
+  const std::int32_t run_start0 =
+      channel_to_rotated(u, scheme.adjacency_start(w_i), k);
+  Wavelength w = w_i;
+  std::int32_t run_start = run_start0;
+  std::int32_t remaining = counts[static_cast<std::size_t>(w_i)] - 1;
+  const auto iv_of = [&](std::int32_t kappa) {
+    const std::int32_t last = run_start + d - 1;  // may pass k-1 (wraps)
+    if (last <= k - 2) return graph::Interval{run_start, last};
+    if (kappa <= plus_side_span) return graph::Interval{0, last - k};
+    return graph::Interval{run_start, k - 2};
+  };
+  graph::Interval iv = remaining > 0 ? iv_of(0) : graph::Interval{};
+
+  const std::size_t nw = mask_words(k);
+  std::size_t pending_word = 0;  // pending wavelengths left, from κ = 1 on
+  std::uint64_t pending = rotated_nonempty[0] & ~std::uint64_t{1};
+  for (std::size_t free_word = 0; free_word < nw; ++free_word) {
+    for (std::uint64_t free = rotated_avail[free_word]; free != 0;
+         free &= free - 1) {
+      const std::int32_t vp = static_cast<std::int32_t>(free_word * 64) +
+                              std::countr_zero(free);
+      while (remaining == 0 || iv.empty() || iv.end < vp) {
+        while (pending == 0) {
+          if (++pending_word == nw) return;
+          pending = rotated_nonempty[pending_word];
+        }
+        const std::int32_t kappa = static_cast<std::int32_t>(pending_word * 64) +
+                                   std::countr_zero(pending);
+        pending &= pending - 1;
+        w = w_i + kappa >= k ? w_i + kappa - k : w_i + kappa;
+        run_start = run_start0 + kappa >= k ? run_start0 + kappa - k
+                                            : run_start0 + kappa;
+        remaining = counts[static_cast<std::size_t>(w)];
+        iv = iv_of(kappa);
+      }
+      if (iv.begin <= vp) {
+        const Channel v = first + vp >= k ? first + vp - k : first + vp;
+        WDM_DCHECK(scheme.can_convert(w, v));
+        out.source[static_cast<std::size_t>(v)] = w;
+        out.granted += 1;
+        remaining -= 1;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ChannelAssignment bfa_single_break(const RequestVector& requests,
@@ -262,9 +364,12 @@ ChannelAssignment break_first_available(const RequestVector& requests,
   if (w_i == kNone) return out;
 
   BfaScratch scratch;
+  const auto free_channels = static_cast<std::int32_t>(
+      scheme.k() - std::count(available.begin(), available.end(), 0));
   sweep_breaks(
-      requests, scheme, w_i,
+      requests, scheme, w_i, free_channels,
       [available](Channel v) { return channel_free(available, v); },
+      [&] { return adjacent_vertex_bound(requests, scheme, available); },
       [&](Channel u, ChannelAssignment& cand) {
         single_break_unchecked(requests, scheme, available, w_i, u, cand);
       },
@@ -275,165 +380,46 @@ ChannelAssignment break_first_available(const RequestVector& requests,
 std::int32_t adjacent_vertex_bound(const RequestVector& requests,
                                    const ConversionScheme& scheme,
                                    std::span<const std::uint8_t> available) {
+  // Through the packed form: one bound routine serves both kernels.
   validate_inputs(requests, scheme, available);
-  return vertex_bound(requests, scheme, [available](Channel v) {
-    return channel_free(available, v);
-  });
-}
-
-namespace {
-
-/// pick_breaking_wavelength over the packed masks: the nonempty mask jumps
-/// straight to pending wavelengths, and the free-adjacent-channel test is a
-/// word scan over the circular adjacency run. Returns the same wavelength
-/// as the byte-row scan (existence of a free adjacent channel is all the
-/// byte inner loop establishes).
-Wavelength pick_breaking_wavelength_masked(const ConversionScheme& scheme,
-                                           const std::uint64_t* avail,
-                                           const std::uint64_t* nonempty) {
   const std::int32_t k = scheme.k();
-  for (Wavelength w = find_next_set(nonempty, k, 0); w < k;
-       w = find_next_set(nonempty, k, w + 1)) {
-    if (any_set_circular(avail, k, scheme.adjacency_start(w),
-                         scheme.adjacency_count(w))) {
-      return w;
-    }
-  }
-  return kNone;
+  std::vector<std::uint64_t> avail(mask_words(k)), nonempty(mask_words(k));
+  pack_availability(available, k, avail.data());
+  pack_counts(requests.counts(), k, nonempty.data());
+  BfaScratch s;
+  s.reserve(k);
+  or_rotations(avail.data(), k, scheme.degree(), scheme.e(), s);
+  return vertex_bound_masked(requests, scheme, avail.data(), nonempty.data(),
+                             s);
 }
 
-void validate_masked_inputs(const RequestVector& requests,
-                            const ConversionScheme& scheme,
-                            std::span<const std::uint64_t> avail_words,
-                            std::span<const std::uint64_t> nonempty_words) {
-  validate_scheme(requests, scheme);
-  WDM_CHECK_MSG(avail_words.size() == mask_words(scheme.k()) &&
-                    nonempty_words.size() == mask_words(scheme.k()),
-                "packed masks must have mask_words(k) words");
+void BfaScratch::reserve(std::int32_t k) {
+  if (candidate.k() != k) candidate.reset(k);
+  masks.resize(4 * mask_words(k));
 }
-
-/// single_break_unchecked over the packed masks. Same state machine, two
-/// jumps instead of two walks: the channel loop visits free channels via
-/// find_next_set on the availability row (in the same rotated order vp =
-/// 0..k-2, split at the wrap), and the left pointer hops between nonempty
-/// wavelengths via find_next_set on the nonempty mask (the byte advance()
-/// steps through empty wavelengths without ever exiting its while loop, so
-/// landing directly on the next pending wavelength reaches the identical
-/// state). All modular quantities stay division-free closed forms.
-void single_break_masked(const RequestVector& requests,
-                         const ConversionScheme& scheme,
-                         const std::uint64_t* avail,
-                         const std::uint64_t* nonempty, Wavelength w_i,
-                         Channel u, ChannelAssignment& out) {
-  const std::int32_t k = scheme.k();
-  const std::int32_t d = scheme.degree();
-  const std::vector<std::int32_t>& counts = requests.counts();
-  out.reset(k);
-  out.source[static_cast<std::size_t>(u)] = w_i;
-  out.granted = 1;
-
-  const std::int32_t plus_side_span =
-      fwd(w_i, mod_k(static_cast<std::int64_t>(u) + scheme.e(), k), k);
-  const std::int32_t run_start0 =
-      channel_to_rotated(u, scheme.adjacency_start(w_i), k);
-
-  std::int32_t kappa = 0;
-  Wavelength w = w_i;
-  std::int32_t run_start = run_start0;
-  std::int32_t remaining = counts[static_cast<std::size_t>(w_i)] - 1;
-  const auto iv_of = [&](std::int32_t kappa_now) {
-    const std::int32_t last = run_start + d - 1;  // may pass k-1 (wraps)
-    if (last <= k - 2) return graph::Interval{run_start, last};
-    if (kappa_now <= plus_side_span) return graph::Interval{0, last - k};
-    return graph::Interval{run_start, k - 2};
-  };
-  graph::Interval iv = remaining > 0 ? iv_of(0) : graph::Interval{};
-
-  // Jump to the next κ' > κ whose wavelength has a pending request, or set
-  // κ = k when none is left. The search runs over the rotated wavelength
-  // order w_i, w_i+1, ..., w_i-1 — at most two linear ranges of the mask.
-  const auto advance_live = [&] {
-    const std::int32_t steps_left = k - 1 - kappa;  // κ values after kappa
-    if (steps_left <= 0) {
-      kappa = k;
-      return;
-    }
-    const Wavelength wn = w + 1 == k ? 0 : w + 1;  // wavelength at κ+1
-    std::int32_t dist = -1;  // distance from wn to the found wavelength
-    if (wn + steps_left <= k) {
-      const std::int32_t nxt = find_next_set(nonempty, wn + steps_left, wn);
-      if (nxt < wn + steps_left) dist = nxt - wn;
-    } else {
-      std::int32_t nxt = find_next_set(nonempty, k, wn);
-      if (nxt < k) {
-        dist = nxt - wn;
-      } else {
-        const std::int32_t wrap_hi = steps_left - (k - wn);
-        nxt = find_next_set(nonempty, wrap_hi, 0);
-        if (nxt < wrap_hi) dist = (k - wn) + nxt;
-      }
-    }
-    if (dist < 0) {
-      kappa = k;
-      return;
-    }
-    kappa += 1 + dist;
-    w = wn + dist >= k ? wn + dist - k : wn + dist;
-    run_start = run_start0 + kappa >= k ? run_start0 + kappa - k
-                                        : run_start0 + kappa;
-    remaining = counts[static_cast<std::size_t>(w)];
-    iv = iv_of(kappa);
-  };
-
-  const auto visit = [&](Channel v, std::int32_t vp) -> bool {
-    while (kappa < k && (remaining == 0 || iv.empty() || iv.end < vp)) {
-      advance_live();
-    }
-    if (kappa == k) return false;
-    if (iv.begin <= vp) {
-      WDM_DCHECK(scheme.can_convert(w, v));
-      out.source[static_cast<std::size_t>(v)] = w;
-      out.granted += 1;
-      remaining -= 1;
-    }
-    return true;
-  };
-
-  // Rotated position vp of channel v is v-u-1 (mod k): segment [u+1, k)
-  // first, then the wrapped segment [0, u). Position k-1 is u itself — the
-  // breaking channel, never visited, exactly like the byte vp <= k-2 loop.
-  for (Channel v = find_next_set(avail, k, u + 1); v < k;
-       v = find_next_set(avail, k, v + 1)) {
-    if (!visit(v, v - u - 1)) return;
-  }
-  const std::int32_t wrap_base = k - u - 1;
-  for (Channel v = find_next_set(avail, k, 0); v < u;
-       v = find_next_set(avail, k, v + 1)) {
-    if (!visit(v, v + wrap_base)) return;
-  }
-}
-
-}  // namespace
 
 void break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
     std::span<const std::uint64_t> nonempty_words, BfaScratch& scratch,
     ChannelAssignment& out) {
-  validate_masked_inputs(requests, scheme, avail_words, nonempty_words);
+  prepare_masked(requests, scheme, avail_words, nonempty_words, scratch);
   const std::uint64_t* avail = avail_words.data();
   const std::uint64_t* nonempty = nonempty_words.data();
   const Wavelength w_i =
-      pick_breaking_wavelength_masked(scheme, avail, nonempty);
+      pick_breaking_wavelength_masked(scheme, avail, nonempty, scratch);
   if (w_i == kNone) {
     out.reset(scheme.k());
     return;
   }
-
   sweep_breaks(
-      requests, scheme, w_i, [avail](Channel v) { return mask_test(avail, v); },
+      requests, scheme, w_i, mask_popcount(avail, scheme.k()),
+      [avail](Channel v) { return mask_test(avail, v); },
+      [&] {
+        return vertex_bound_masked(requests, scheme, avail, nonempty, scratch);
+      },
       [&](Channel u, ChannelAssignment& cand) {
-        single_break_masked(requests, scheme, avail, nonempty, w_i, u, cand);
+        single_break_masked(requests, scheme, avail, scratch, w_i, u, cand);
       },
       scratch, out);
 }
@@ -441,20 +427,19 @@ void break_first_available_masked_into(
 Channel approx_break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, ChannelAssignment& out) {
-  validate_masked_inputs(requests, scheme, avail_words, nonempty_words);
+    std::span<const std::uint64_t> nonempty_words, BfaScratch& scratch,
+    ChannelAssignment& out) {
+  prepare_masked(requests, scheme, avail_words, nonempty_words, scratch);
   const std::uint64_t* avail = avail_words.data();
   const Wavelength w_i = pick_breaking_wavelength_masked(
-      scheme, avail, nonempty_words.data());
+      scheme, avail, nonempty_words.data(), scratch);
   if (w_i == kNone) {
     out.reset(scheme.k());
     return kNone;
   }
-
   const Channel u = pick_approx_break(
       scheme, w_i, [avail](Channel v) { return mask_test(avail, v); });
-  single_break_masked(requests, scheme, avail, nonempty_words.data(), w_i, u,
-                      out);
+  single_break_masked(requests, scheme, avail, scratch, w_i, u, out);
   return u;
 }
 

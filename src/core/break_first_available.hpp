@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/channel_assignment.hpp"
 #include "core/conversion.hpp"
@@ -26,12 +27,25 @@
 
 namespace wdm::core {
 
-/// Reusable candidate buffer for the exhaustive sweep. Owned by the caller
+/// Reusable scratch of the word kernels. Owned by the caller
 /// (OutputPortScheduler keeps one per port) so that in steady state the d
 /// candidate schedules of every slot run entirely in warm memory: the best
-/// candidate so far lives in the output assignment, the current one here.
+/// candidate so far lives in the output assignment, the current one here,
+/// next to the packed masks each call rotates into its candidate's order.
 struct BfaScratch {
   ChannelAssignment candidate{0};  ///< the candidate being scheduled
+  /// Four packed masks of mask_words(k) words, one allocation (the scratch
+  /// lives in every port): the availability and nonempty rows rotated into
+  /// a candidate's order, a neighbourhood mask (free-near or pending-near)
+  /// and one rotation being ORed into it.
+  enum Mask : std::size_t { kRotatedAvail, kRotatedNonempty, kNear, kRotation };
+  std::vector<std::uint64_t> masks;
+
+  /// Sizes the buffers for k wavelengths; a no-op once they are.
+  void reserve(std::int32_t k);
+  std::uint64_t* mask(Mask m) noexcept {
+    return masks.data() + m * (masks.size() / 4);
+  }
 };
 
 /// Exact maximum-matching schedule for a circular, non-full-range scheme.
@@ -101,6 +115,7 @@ void break_first_available_masked_into(
 Channel approx_break_first_available_masked_into(
     const RequestVector& requests, const ConversionScheme& scheme,
     std::span<const std::uint64_t> avail_words,
-    std::span<const std::uint64_t> nonempty_words, ChannelAssignment& out);
+    std::span<const std::uint64_t> nonempty_words, BfaScratch& scratch,
+    ChannelAssignment& out);
 
 }  // namespace wdm::core

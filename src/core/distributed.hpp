@@ -9,10 +9,14 @@
 // parallelism is one level up: sim::Fleet runs whole fabrics, one per
 // driver thread.
 //
-// A slot is partitioned once into SoA columns (core/slot_batch.hpp), and
-// every fiber, healthy or faulted, runs the same port pass on them
-// (OutputPortScheduler::schedule_batch_into): a fiber's hardware faults
-// are folded into its availability words, not routed to another kernel.
+// A scheduling call makes one grouping pass over its requests: it validates
+// each one, counts it per (fiber, wavelength), and places the request
+// indices grouped by fiber and wavelength in arrival order. Every fiber,
+// healthy or faulted, then runs the same port pass on its groups
+// (OutputPortScheduler::schedule_groups): the kernel reads the group sizes,
+// which are the paper's request vector, and arbitration writes each grant
+// straight into the caller's decisions. A fiber's hardware faults are
+// folded into its availability words, not routed to another kernel.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,6 @@
 #include "core/conversion.hpp"
 #include "core/request.hpp"
 #include "core/scheduler.hpp"
-#include "core/slot_batch.hpp"
 #include "obs/telemetry.hpp"
 
 namespace wdm::core {
@@ -98,12 +101,12 @@ class DistributedScheduler {
   /// with Algorithm::kSparseBudgeted).
   void set_converter_budget(std::int32_t budget);
 
-  /// Pre-sizes every port's arbitration scratch for slots of up to
-  /// `max_requests_per_slot` requests (the worst case is all of them at one
-  /// port). Opt-in: costs O(N * max) memory up front, in exchange for a
-  /// steady state with zero heap allocations from the very first slot —
-  /// without it, rare per-port high-water marks still reallocate
-  /// (OutputPortScheduler::reserve_batch).
+  /// Pre-sizes the grouping arenas for calls of up to
+  /// `max_requests_per_slot` requests, plus the N×k counts plane and every
+  /// port's arbitration scratch. Opt-in: costs O(max + N·k) memory up front,
+  /// in exchange for a steady state with zero heap allocations from the
+  /// very first slot — without it, the arenas are sized on first use and
+  /// rare high-water marks still reallocate.
   void reserve_batches(std::size_t max_requests_per_slot);
 
   /// Schedules one slot. `availability`, if non-null, holds one size-k mask
@@ -126,11 +129,11 @@ class DistributedScheduler {
 
   /// As schedule_slot, with a flat N×k availability plane and caller-owned
   /// decisions (one entry per request). Decision-for-decision identical to
-  /// schedule_slot(); the fast path of the slot pipeline — the request
-  /// partition is a counting-sort CSR over reusable arenas, so the steady
-  /// state performs zero heap allocations. An empty view means all free; a
-  /// view whose shape disagrees with (N, k) rejects every request with
-  /// kBadAvailabilityMask, mirroring the nested-vector overload.
+  /// schedule_slot(); the fast path of the slot pipeline — the grouping
+  /// pass runs over reusable arenas, so the steady state performs zero heap
+  /// allocations. An empty view means all free; a view whose shape
+  /// disagrees with (N, k) rejects every request with kBadAvailabilityMask,
+  /// mirroring the nested-vector overload.
   /// `health` as in schedule_slot. `budget`, if non-null, applies deadline-bounded degradation: ports the
   /// slot's remaining budget cannot schedule exactly fall back to the O(k)
   /// approximation (SlotBudget above; a no-op for ports that are not
@@ -148,11 +151,12 @@ class DistributedScheduler {
   void restore_state(util::SnapshotReader& r);
 
   /// Attaches (or detaches, with nullptr) a trace recorder. The scheduler
-  /// records kStage spans for its partition and fan-out phases at kSlots
-  /// detail, and one kFiberSchedule span per scheduled fiber at kFibers,
-  /// recorded straight into the ring as the fan-out reaches that fiber, so
-  /// tracing adds no allocations to the warm path. Telemetry never alters
-  /// decisions or RNG streams, and none of it enters save_state.
+  /// records kStage spans for its grouping (kPartition) and fan-out phases
+  /// at kSlots detail, and one kFiberSchedule span per scheduled fiber at
+  /// kFibers, recorded straight into the ring as the fan-out reaches that
+  /// fiber, so tracing adds no allocations to the warm path. Telemetry
+  /// never alters decisions or RNG streams, and none of it enters
+  /// save_state.
   void set_telemetry(obs::TraceRecorder* recorder) noexcept {
     telemetry_ = recorder;
   }
@@ -174,15 +178,23 @@ class DistributedScheduler {
   ConversionScheme scheme_;
   std::vector<OutputPortScheduler> ports_;
 
-  // Reusable per-slot scratch: CSR partition of the slot's requests into the
-  // N destination subsets (stable counting sort keeps arrival order within a
-  // fiber), plus per-fiber decision staging. Capacity persists across slots.
-  // The partition fills 4-byte columns rather than 24-byte Request structs,
-  // since ids never reach the port pass.
-  SlotBatchSoA soa_;
-  std::vector<std::uint32_t> fiber_cursor_;  // fill cursors for the sort
-  std::vector<PortDecision> csr_decisions_;  // per-fiber results, CSR order
-  std::vector<std::uint8_t> degrade_flags_;  // per-fiber degradation plan
+  void size_arenas();  // sizes group_ and fibers_ on first use
+
+  // Reusable grouping arenas, sized on first use (or by reserve_batches);
+  // capacity persists across calls. group_ is the N×k counts plane: the
+  // grouping pass counts each valid request at [fiber·k + wavelength],
+  // turns each busy fiber's row into group starts and, by placing the
+  // requests, into group ends; the fan-out zeroes the row again, so each
+  // call touches only the rows of fibers it routed requests to.
+  struct FiberGroups {
+    std::uint32_t routed = 0;  ///< requests that reached the port checks
+    std::uint32_t base = 0;    ///< first member of the fiber's groups
+    RejectReason reason = RejectReason::kGranted;  ///< fiber-wide rejection
+    bool degraded = false;     ///< the budget plan downgrades the port
+  };
+  std::vector<std::uint32_t> group_;
+  std::vector<FiberGroups> fibers_;
+  std::vector<std::uint32_t> members_;  // request indices, grouped
 
   obs::TraceRecorder* telemetry_ = nullptr;
   std::uint64_t trace_slot_ = 0;

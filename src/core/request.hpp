@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/wavelength.hpp"
@@ -64,6 +65,30 @@ class RequestVector {
   void clear() noexcept {
     counts_.assign(counts_.size(), 0);
     total_ = 0;
+  }
+
+  /// count(w) = ends[w] - ends[w-1], with ends[-1] = base: the sizes of one
+  /// fiber's wavelength groups (OutputPortScheduler::schedule_groups). Also
+  /// writes the packed nonempty mask (core/wave_mask.hpp layout), bit w set
+  /// iff count(w) > 0, in the same pass.
+  void assign_group_sizes(std::uint32_t base,
+                          std::span<const std::uint32_t> ends,
+                          std::uint64_t* nonempty) noexcept {
+    std::int32_t* counts = counts_.data();
+    const std::size_t k = counts_.size();
+    std::uint32_t lo = base;
+    std::uint64_t word = 0;
+    for (std::size_t w = 0; w < k; ++w) {
+      const std::uint32_t hi = ends[w];
+      counts[w] = static_cast<std::int32_t>(hi - lo);
+      word |= std::uint64_t{hi != lo} << (w % 64);
+      lo = hi;
+      if (w % 64 == 63 || w + 1 == k) {
+        nonempty[w / 64] = word;
+        word = 0;
+      }
+    }
+    total_ = static_cast<std::int32_t>(lo - base);
   }
 
   const std::vector<std::int32_t>& counts() const noexcept { return counts_; }

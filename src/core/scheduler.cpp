@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "core/break_first_available.hpp"
 #include "core/first_available.hpp"
@@ -47,19 +48,13 @@ graph::Interval compact_interval(const graph::Interval& iv,
   return graph::Interval{lo, hi};
 }
 
-/// Calls fn(i) for every i in [0, n) with pred(i), in ascending order. The
-/// predicate is gathered branch-free into 64-bit words and the hits are
-/// visited with countr_zero, so a random hit pattern costs no mispredicted
-/// branches.
-template <typename Pred, typename Fn>
-void for_each_where(std::int32_t n, Pred&& pred, Fn&& fn) {
-  for (std::int32_t base = 0; base < n; base += 64) {
-    const std::int32_t end = std::min(n, base + 64);
-    std::uint64_t hits = 0;
-    for (std::int32_t i = base; i < end; ++i) {
-      hits |= std::uint64_t{pred(i)} << static_cast<std::uint32_t>(i - base);
+/// Calls fn(i) for every set bit i of the k-bit mask, in ascending order.
+template <typename Fn>
+void for_each_set(const std::uint64_t* words, std::int32_t k, Fn&& fn) {
+  for (std::size_t wi = 0; wi < mask_words(k); ++wi) {
+    for (std::uint64_t bits = words[wi]; bits != 0; bits &= bits - 1) {
+      fn(wi * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
     }
-    for (; hits != 0; hits &= hits - 1) fn(base + std::countr_zero(hits));
   }
 }
 
@@ -102,11 +97,7 @@ OutputPortScheduler::OutputPortScheduler(ConversionScheme scheme,
       arbitration_(arbitration),
       rng_(seed),
       converter_budget_(scheme_.k()),
-      rr_cursor_(static_cast<std::size_t>(scheme_.k()), 0),
-      rv_scratch_(scheme_.k()),
-      assign_scratch_(scheme_.k()),
-      avail_bits_(mask_words(scheme_.k()), 0),
-      nonempty_bits_(mask_words(scheme_.k()), 0) {
+      rr_cursor_(static_cast<std::size_t>(scheme_.k()), 0) {
   switch (algorithm_) {
     case Algorithm::kFirstAvailable:
     case Algorithm::kGlover:
@@ -226,6 +217,7 @@ ChannelAssignment OutputPortScheduler::assign_channels(
                     static_cast<std::int32_t>(health.channels.size()) == k,
                 "health mask must be empty or size k");
   if (health.fiber_faulted) return ChannelAssignment(k);
+  size_scratch();
   pack_counts(requests.counts(), k, nonempty_bits_.data());
   run_kernel(requests, available, {}, health.all_healthy() ? nullptr : &health,
              degraded);
@@ -291,7 +283,7 @@ void OutputPortScheduler::run_kernel(const RequestVector& requests,
       [[fallthrough]];
     case Algorithm::kApproxBfa:
       approx_break_first_available_masked_into(*rv, scheme_, avail_words,
-                                               nonempty, out);
+                                               nonempty, bfa_scratch_, out);
       break;
     default:  // kFullRange, the last algorithm with a word kernel
       full_range_schedule_into(*rv, avail_words, nonempty, out);
@@ -300,136 +292,86 @@ void OutputPortScheduler::run_kernel(const RequestVector& requests,
   if (health != nullptr) fold_->write_pre_grants(out);
 }
 
-template <typename WaveFn>
-void OutputPortScheduler::arbitrate_into(std::size_t n_requests,
-                                         WaveFn&& wavelength_of,
-                                         std::span<PortDecision> decisions) {
+void OutputPortScheduler::arbitrate(std::uint32_t base,
+                                    std::span<const std::uint32_t> ends,
+                                    std::span<std::uint32_t> members,
+                                    std::span<PortDecision> decisions) {
   // Every competing request already carries reject(kNoChannel); a grant
   // overwrites it, so nothing is left to fix up afterwards.
   const ChannelAssignment& assignment = assign_scratch_;
   if (assignment.granted == 0) return;
   const std::int32_t k = scheme_.k();
-  const auto uk = static_cast<std::size_t>(k);
   const auto uw = [](std::int32_t x) { return static_cast<std::size_t>(x); };
-
-  // Competing request indices per wavelength, in arrival order, as CSR. The
-  // group sizes are the request vector's counts, so one backward scatter
-  // over the requests fills the groups and leaves each cursor at its
-  // group's first member.
-  const std::vector<std::int32_t>& counts = rv_scratch_.counts();
-  member_offsets_.resize(uk + 1);
-  member_offsets_[0] = 0;
-  for (std::size_t w = 0; w < uk; ++w) {
-    member_offsets_[w + 1] =
-        member_offsets_[w] + static_cast<std::uint32_t>(counts[w]);
-  }
-  member_flat_.resize(member_offsets_[uk]);
-  csr_cursor_.assign(member_offsets_.begin() + 1, member_offsets_.end());
-  for (std::size_t idx = n_requests; idx-- > 0;) {
-    if (decisions[idx].reason != RejectReason::kNoChannel) continue;
-    member_flat_[--csr_cursor_[uw(wavelength_of(idx))]] =
-        static_cast<std::uint32_t>(idx);
+  const auto lo_of = [&](std::size_t w) { return w == 0 ? base : ends[w - 1]; };
+  // The granted channels, gathered branch-free so that a random grant
+  // pattern costs no mispredicted branches, and the winning wavelengths.
+  const std::vector<Wavelength>& source = assignment.source;
+  std::uint64_t* granted = won_bits_.data();
+  std::uint64_t* won = granted + mask_words(k);
+  mask_zero(won, k);
+  for (std::size_t word = 0; word < uw(k); word += 64) {
+    std::uint64_t bits = 0;
+    for (std::size_t v = word; v < std::min(uw(k), word + 64); ++v) {
+      bits |= std::uint64_t{source[v] != kNone} << (v - word);
+    }
+    granted[word >> 6] = bits;
   }
 
   // Arbitration (Section III: "a random selecting or a round-robin
   // scheduling procedure") only fixes where each winning wavelength's grants
   // start in its group: FIFO at the first arrival, round-robin at the stored
-  // cursor, random at the first member after a shuffle. Winning wavelengths
-  // are visited in ascending order, so the shuffles make the same RNG draws
-  // in the same order as a per-wavelength loop.
-  if (arbitration_ != Arbitration::kFifo) {
-    won_count_.assign(uk + 1, 0);  // bin 0 counts unassigned channels
-    for (const Wavelength w : assignment.source) won_count_[uw(w + 1)] += 1;
-    const auto won = [&](Wavelength w) { return won_count_[uw(w) + 1] != 0; };
-    for_each_where(k, won, [&](Wavelength won_w) {
-      const std::size_t w = uw(won_w);
-      const std::uint32_t n_won = won_count_[w + 1];
-      const std::uint32_t lo = member_offsets_[w];
-      const std::uint32_t n = member_offsets_[w + 1] - lo;
-      WDM_DCHECK(n_won <= n);
-      if (arbitration_ == Arbitration::kRandom) {
-        rng_.shuffle(std::span<std::uint32_t>(member_flat_.data() + lo, n));
-        return;
-      }
-      // The stored cursor is reduced once (it can be >= n when the group
-      // shrank since the last slot); only winning wavelengths move it.
-      const std::uint32_t stored = rr_cursor_[w];
-      const std::uint32_t start = stored < n ? stored : stored % n;
-      csr_cursor_[w] = lo + start;
-      const std::uint32_t next = start + n_won;
-      rr_cursor_[w] = next >= n ? next - n : next;
+  // cursor, random at the first member after a shuffle of the whole group.
+  // The shuffles run in ascending wavelength order, so they make the same
+  // RNG draws in the same order as a per-wavelength loop.
+  if (arbitration_ == Arbitration::kRandom) {
+    for_each_set(granted, k, [&](std::size_t v) { mask_set(won, source[v]); });
+    for_each_set(won, k, [&](std::size_t w) {
+      const std::uint32_t lo = lo_of(w);
+      rng_.shuffle(members.subspan(lo, ends[w] - lo));
+      grant_pos_[w] = lo;
     });
   }
 
   // One ascending walk over the granted channels: the t-th channel won by w
-  // goes to member start + t of w's group, wrapping for round-robin.
-  const std::vector<Wavelength>& source = assignment.source;
-  for_each_where(
-      k, [&](Channel v) { return source[uw(v)] != kNone; },
-      [&](Channel v) {
-        const std::size_t w = uw(source[uw(v)]);
-        std::uint32_t& pos = csr_cursor_[w];
-        decisions[member_flat_[pos]] = PortDecision::grant(v);
-        if (++pos == member_offsets_[w + 1]) pos = member_offsets_[w];
-      });
+  // goes to member start + t of w's group, wrapping for round-robin. FIFO
+  // and round-robin fix the start at w's first grant; the stored cursor is
+  // reduced once there (it can be >= n when the group shrank since the last
+  // slot).
+  for_each_set(granted, k, [&](std::size_t v) {
+    const std::size_t w = uw(source[v]);
+    const std::uint32_t lo = lo_of(w);
+    if (!mask_test(won, static_cast<std::int32_t>(w))) {
+      mask_set(won, static_cast<std::int32_t>(w));
+      const std::uint32_t n = ends[w] - lo;
+      const std::uint32_t stored =
+          arbitration_ == Arbitration::kRoundRobin ? rr_cursor_[w] : 0;
+      grant_pos_[w] = lo + (stored < n ? stored : stored % n);
+    }
+    std::uint32_t& pos = grant_pos_[w];
+    decisions[members[pos]] = PortDecision::grant(static_cast<Channel>(v));
+    if (++pos == ends[w]) pos = lo;
+  });
+
+  // Only winning wavelengths move their cursor: to the member after the
+  // last one granted.
+  if (arbitration_ == Arbitration::kRoundRobin) {
+    for_each_set(won, k, [&](std::size_t w) {
+      rr_cursor_[w] = grant_pos_[w] - lo_of(w);
+    });
+  }
 }
 
-template <typename RequestAt>
-void OutputPortScheduler::schedule_port(
-    std::size_t n_requests, RequestAt&& request_at,
-    std::span<const std::uint8_t> available,
+std::int32_t OutputPortScheduler::schedule_groups(
+    std::uint32_t base, std::span<const std::uint32_t> ends,
+    std::span<std::uint32_t> members, std::span<const std::uint8_t> available,
     std::span<const std::uint64_t> avail_bits, const HealthMask* health,
-    std::span<PortDecision> decisions, bool degraded) {
-  const std::int32_t k = scheme_.k();
-
-  // Externally supplied data never aborts the slot: a wrong-shaped mask or a
-  // malformed request yields per-request rejections instead of a WDM_CHECK
-  // throw (the kernels below still enforce their contracts). Every other
-  // request enters as a capacity rejection that a grant overwrites.
-  const bool bad_mask =
-      !available.empty() && static_cast<std::int32_t>(available.size()) != k;
-  std::fill(decisions.begin(), decisions.end(),
-            PortDecision::reject(bad_mask ? RejectReason::kBadAvailabilityMask
-                                          : RejectReason::kNoChannel));
-  if (bad_mask) return;
-  if (health != nullptr) {
-    if (!health->channels.empty() &&
-        static_cast<std::int32_t>(health->channels.size()) != k) {
-      std::fill(decisions.begin(), decisions.end(),
-                PortDecision::reject(RejectReason::kBadHealthMask));
-      return;
-    }
-    // A fiber cut outranks per-request validation: nothing on a dead fiber
-    // is inspected, everything is rejected as faulted.
-    if (health->fiber_faulted) {
-      std::fill(decisions.begin(), decisions.end(),
-                PortDecision::reject(RejectReason::kFaulted));
-      return;
-    }
-    if (health->all_healthy()) health = nullptr;
-  }
-
-  // The accept test is a single predicted branch; the cold path names the
-  // reason with validate_request itself, so the field order is its order.
-  mask_zero(nonempty_bits_.data(), k);
-  rv_scratch_.clear();
-  for (std::size_t idx = 0; idx < n_requests; ++idx) {
-    const Request& r = request_at(idx);
-    if (r.wavelength >= 0 && r.wavelength < k && r.input_fiber >= 0 &&
-        r.duration >= 1) {
-      rv_scratch_.add(r.wavelength);
-      mask_set(nonempty_bits_.data(), r.wavelength);
-      continue;
-    }
-    decisions[idx] = PortDecision::reject(validate_request(r, k));
-  }
-
+    bool degraded, std::span<PortDecision> decisions) {
+  size_scratch();
+  rv_scratch_.assign_group_sizes(base, ends, nonempty_bits_.data());
+  if (health != nullptr && health->all_healthy()) health = nullptr;
   run_kernel(rv_scratch_, available, avail_bits, health, degraded);
-
-  arbitrate_into(
-      n_requests,
-      [&request_at](std::size_t idx) { return request_at(idx).wavelength; },
-      decisions);
+  arbitrate(base, ends, members, decisions);
+  return assign_scratch_.granted;
 }
 
 void OutputPortScheduler::schedule_into(
@@ -438,36 +380,73 @@ void OutputPortScheduler::schedule_into(
     std::span<const std::uint64_t> avail_bits) {
   WDM_CHECK_MSG(decisions.size() == requests.size(),
                 "one decision slot per request");
-  schedule_port(
-      requests.size(),
-      [&requests](std::size_t idx) -> const Request& { return requests[idx]; },
-      available, avail_bits, health, decisions, degraded);
+  const std::int32_t k = scheme_.k();
+
+  // Externally supplied data never aborts the slot: a wrong-shaped mask or a
+  // malformed request yields per-request rejections instead of a WDM_CHECK
+  // throw (the kernels still enforce their contracts). A fiber cut outranks
+  // per-request validation: nothing on a dead fiber is inspected.
+  const bool bad_health = health != nullptr && !health->channels.empty() &&
+                          static_cast<std::int32_t>(health->channels.size()) != k;
+  const RejectReason fiber_reason =
+      !available.empty() && static_cast<std::int32_t>(available.size()) != k
+          ? RejectReason::kBadAvailabilityMask
+      : bad_health                                ? RejectReason::kBadHealthMask
+      : health != nullptr && health->fiber_faulted ? RejectReason::kFaulted
+                                                   : RejectReason::kGranted;
+  if (fiber_reason != RejectReason::kGranted) {
+    std::fill(decisions.begin(), decisions.end(),
+              PortDecision::reject(fiber_reason));
+    return;
+  }
+
+  // One-fiber grouping: count each wavelength's valid requests (every other
+  // request gets its validate_request reason), turn the counts into group
+  // starts, and place the request indices stably, leaving each group's end.
+  group_end_.assign(static_cast<std::size_t>(k), 0);
+  for (std::size_t idx = 0; idx < requests.size(); ++idx) {
+    const RejectReason reason = validate_request(requests[idx], k);
+    const bool valid = reason == RejectReason::kGranted;
+    decisions[idx] = PortDecision::reject(valid ? RejectReason::kNoChannel
+                                                : reason);
+    if (valid) group_end_[static_cast<std::size_t>(requests[idx].wavelength)]++;
+  }
+  std::uint32_t next = 0;
+  for (std::uint32_t& end : group_end_) next += std::exchange(end, next);
+  if (members_.size() < next) members_.resize(next);
+  for (std::size_t idx = 0; idx < requests.size(); ++idx) {
+    if (decisions[idx].reason != RejectReason::kNoChannel) continue;
+    members_[group_end_[static_cast<std::size_t>(requests[idx].wavelength)]++] =
+        static_cast<std::uint32_t>(idx);
+  }
+  schedule_groups(0, group_end_, members_, available, avail_bits, health,
+                  degraded, decisions);
 }
 
-void OutputPortScheduler::schedule_batch_into(
-    std::span<const std::int32_t> wavelengths,
-    std::span<const std::int32_t> input_fibers,
-    std::span<const std::int32_t> durations,
-    std::span<const std::uint8_t> available,
-    std::span<const std::uint64_t> avail_bits, const HealthMask* health,
-    std::span<PortDecision> decisions, bool degraded) {
-  WDM_CHECK_MSG(decisions.size() == wavelengths.size() &&
-                    input_fibers.size() == wavelengths.size() &&
-                    durations.size() == wavelengths.size(),
-                "one decision slot per request and equal column lengths");
-  schedule_port(
-      wavelengths.size(),
-      [&](std::size_t idx) {
-        return Request{input_fibers[idx], wavelengths[idx], 0, durations[idx]};
-      },
-      available, avail_bits, health, decisions, degraded);
+void OutputPortScheduler::size_scratch() {
+  if (!grant_pos_.empty()) return;
+  const std::int32_t k = scheme_.k();
+  rv_scratch_ = RequestVector(k);
+  assign_scratch_.reset(k);
+  avail_bits_.assign(mask_words(k), 0);
+  nonempty_bits_.assign(mask_words(k), 0);
+  grant_pos_.resize(static_cast<std::size_t>(k));
+  won_bits_.resize(2 * mask_words(k));
 }
 
 void OutputPortScheduler::reserve_batch(std::size_t max_requests) {
-  // member_flat_ holds one entry per surviving request of the batch. The
-  // offset, cursor and win-count arrays are fixed at k+1 and reach capacity
-  // on the first slot regardless.
-  member_flat_.reserve(max_requests);
+  const std::int32_t k = scheme_.k();
+  size_scratch();
+  group_end_.resize(static_cast<std::size_t>(k));
+  members_.reserve(max_requests);
+  // The kernel scratch otherwise sized on first use: the word kernels'
+  // candidate and rotation words, and the fault fold.
+  if (has_word_kernel(algorithm_)) {
+    bfa_scratch_.reserve(k);
+    if (!fold_) fold_ = std::make_unique<HealthFold>();
+    // Folding the empty instance sizes the fold's arrays.
+    fold_health(rv_scratch_, avail_bits_, nonempty_bits_, HealthMask{}, *fold_);
+  }
 }
 
 void OutputPortScheduler::save_state(util::SnapshotWriter& w) const {

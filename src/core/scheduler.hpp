@@ -155,11 +155,12 @@ class OutputPortScheduler {
                                      const HealthMask* health = nullptr);
 
   /// As schedule, writing decisions into a caller-owned span (one entry per
-  /// request). Decision-for-decision identical to schedule(); the fast path
-  /// of the slot pipeline. The paper's kernels (FA / BFA / approx-BFA /
-  /// full-range) run on packed words and make zero heap allocations once
-  /// the scratch arenas are warm, on healthy and faulted fibers alike; the
-  /// baseline graph algorithms build their graphs afresh every call.
+  /// request): the fiber's shape checks, a one-fiber grouping pass, then
+  /// schedule_groups, the port pass the slot pipeline runs. The paper's
+  /// kernels (FA / BFA / approx-BFA / full-range) run on packed words and
+  /// make zero heap allocations once the scratch arenas are warm, on healthy
+  /// and faulted fibers alike; the baseline graph algorithms build their
+  /// graphs afresh every call.
   /// `degraded` downgrades a degradable() kernel to its O(k) approximation:
   /// the exact circular BFA sweep (O(dk)) becomes the Section IV.C single
   /// break (O(k), within (d-1)/2 of maximum, Theorem 3). It composes with
@@ -175,24 +176,26 @@ class OutputPortScheduler {
                      bool degraded = false,
                      std::span<const std::uint64_t> avail_bits = {});
 
-  /// Column-oriented schedule_into for the SoA slot batch: one decision per
-  /// column entry. It runs the same port pass as schedule_into, so decisions
-  /// are bit-identical to schedule_into over the equivalent AoS requests.
-  void schedule_batch_into(std::span<const std::int32_t> wavelengths,
-                           std::span<const std::int32_t> input_fibers,
-                           std::span<const std::int32_t> durations,
-                           std::span<const std::uint8_t> available,
-                           std::span<const std::uint64_t> avail_bits,
-                           const HealthMask* health,
-                           std::span<PortDecision> decisions,
-                           bool degraded = false);
+  /// The port pass on requests already validated and grouped by wavelength
+  /// (DistributedScheduler's grouping pass, or schedule_into's for its one
+  /// fiber): wavelength w's group members[lo(w), ends[w]), lo(0) = base and
+  /// lo(w) = ends[w-1], holds the indices into `decisions` of its requests in
+  /// arrival order, each already at reject(kNoChannel). Runs the kernel on
+  /// the group sizes (the paper's request vector) and writes each winner's
+  /// grant in place. `available` and `health` must be of valid shape, and
+  /// the fiber not cut. Returns the number of grants.
+  std::int32_t schedule_groups(std::uint32_t base,
+                               std::span<const std::uint32_t> ends,
+                               std::span<std::uint32_t> members,
+                               std::span<const std::uint8_t> available,
+                               std::span<const std::uint64_t> avail_bits,
+                               const HealthMask* health, bool degraded,
+                               std::span<PortDecision> decisions);
 
-  /// Pre-sizes the arbitration scratch (CSR member array) for slot
-  /// batches of up to `max_requests` requests at this port. The scratch
-  /// converges on its own — capacity persists across slots — but every new
-  /// per-port high-water mark (a slot batch bigger than any before it)
-  /// costs one reallocation; callers with a hard zero-allocation serving
-  /// contract (sim::Fleet) reserve the worst case up front instead.
+  /// Pre-sizes the port's scratch — arbitration and kernel scratch, the
+  /// fault fold, and schedule_into's grouping for up to `max_requests`
+  /// requests — so even the first call allocates nothing (sim::Fleet's
+  /// zero-allocation contract). Without it the scratch is sized on first use.
   void reserve_batch(std::size_t max_requests);
 
   /// Checkpoint of the port's mutable scheduling state (arbitration RNG and
@@ -201,16 +204,6 @@ class OutputPortScheduler {
   void restore_state(util::SnapshotReader& r);
 
  private:
-  /// The port pass behind schedule_into and schedule_batch_into, in order:
-  /// mask and health-shape checks, per-request validation in
-  /// validate_request field order, the kernel (run_kernel), and arbitration.
-  /// `request_at(idx)` must return request `idx` (ids are never read).
-  template <typename RequestAt>
-  void schedule_port(std::size_t n_requests, RequestAt&& request_at,
-                     std::span<const std::uint8_t> available,
-                     std::span<const std::uint64_t> avail_bits,
-                     const HealthMask* health,
-                     std::span<PortDecision> decisions, bool degraded);
   /// Schedules `requests` into assign_scratch_. The paper's algorithms run
   /// their word kernel, with `health` (null = no faults) folded into the
   /// masks first; nonempty_bits_ must be the nonempty mask of `requests`.
@@ -221,14 +214,12 @@ class OutputPortScheduler {
                   std::span<const std::uint8_t> available,
                   std::span<const std::uint64_t> avail_words,
                   const HealthMask* health, bool degraded);
-  /// Shared arbitration tail of schedule_into / schedule_batch_into: groups
-  /// the competing requests (those still at reject(kNoChannel)) by
-  /// wavelength, then hands assign_scratch_'s channels to FIFO /
-  /// round-robin / random winners in one walk. `wavelength_of(idx)` must
-  /// return the wavelength of request `idx`.
-  template <typename WaveFn>
-  void arbitrate_into(std::size_t n_requests, WaveFn&& wavelength_of,
-                      std::span<PortDecision> decisions);
+  /// Hands assign_scratch_'s channels to the members of the groups laid
+  /// out as in schedule_groups: FIFO / round-robin / random winners in one
+  /// ascending walk over the granted channels.
+  void arbitrate(std::uint32_t base, std::span<const std::uint32_t> ends,
+                 std::span<std::uint32_t> members,
+                 std::span<PortDecision> decisions);
 
   ConversionScheme scheme_;
   Algorithm algorithm_;
@@ -237,26 +228,30 @@ class OutputPortScheduler {
   std::int32_t converter_budget_;
   std::vector<std::uint32_t> rr_cursor_;  // per-wavelength round-robin state
 
-  // Per-slot scratch arenas, reused across schedule_into calls. Vector
-  // capacity persists between slots, so the steady state never allocates.
+  /// Sizes the per-call scratch below on the first call or in
+  /// reserve_batch: constructing a port allocates only its state.
+  void size_scratch();
+
+  // Per-call scratch arenas. Vector capacity persists between calls, so the
+  // steady state never allocates.
   RequestVector rv_scratch_;
-  ChannelAssignment assign_scratch_;
+  ChannelAssignment assign_scratch_{0};
   BfaScratch bfa_scratch_;
-  // CSR layout of the competing request indices per wavelength, in arrival
-  // order, plus the number of channels each wavelength won. uint32
-  // throughout — per-slot per-port counts are far below 2^32 and the
-  // narrower columns halve the scatter traffic.
-  std::vector<std::uint32_t> member_offsets_;  // size k+1
-  std::vector<std::uint32_t> member_flat_;
-  std::vector<std::uint32_t> csr_cursor_;      // size k: fill, then grant
-  std::vector<std::uint32_t> won_count_;       // size k+1, [w+1] = won by w
-  // Packed bit scratch for the word kernels (core/wave_mask.hpp layout),
-  // sized mask_words(k) each.
+  // Arbitration scratch: each winning wavelength's next member position,
+  // then the granted channels and the wavelengths that won one this call
+  // (two masks).
+  std::vector<std::uint32_t> grant_pos_;
+  std::vector<std::uint64_t> won_bits_;
+  // schedule_into's one-fiber grouping: per-wavelength group ends and the
+  // grouped request indices.
+  std::vector<std::uint32_t> group_end_;
+  std::vector<std::uint32_t> members_;
+  // Packed bit scratch for the word kernels (core/wave_mask.hpp layout).
   std::vector<std::uint64_t> avail_bits_;
   std::vector<std::uint64_t> nonempty_bits_;
   // The fault fold of a degraded fiber, created and sized on the first one:
-  // healthy ports carry one null pointer. Arbitration keeps reading
-  // rv_scratch_, because a pre-granted request still competes in its
+  // healthy ports carry one null pointer. Arbitration keeps the unreduced
+  // group sizes, because a pre-granted request still competes in its
   // wavelength group.
   std::unique_ptr<HealthFold> fold_;
 };

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -73,19 +74,25 @@ inline std::int32_t find_next_set(const std::uint64_t* words,
   return idx < bound ? idx : bound;
 }
 
-/// True iff any bit is set in the half-open range [lo, hi).
-inline bool any_set_range(const std::uint64_t* words, std::int32_t lo,
-                          std::int32_t hi) noexcept {
-  return lo < hi && find_next_set(words, hi, lo) < hi;
-}
-
-/// True iff any bit is set in the circular run [start, start+len) mod k.
-inline bool any_set_circular(const std::uint64_t* words, std::int32_t k,
-                             std::int32_t start, std::int32_t len) noexcept {
-  if (len >= k) return any_set_range(words, 0, k);
-  if (start + len <= k) return any_set_range(words, start, start + len);
-  return any_set_range(words, start, k) ||
-         any_set_range(words, 0, start + len - k);
+/// Rotates the k-bit mask `in` down by r, 0 <= r < k, into the distinct
+/// array `out`: bit i of `out` is bit (i + r) mod k of `in`. It is
+/// (in >> r) | (in << (k - r)) on the k-bit value, word by word, for any k;
+/// each shift by 64 - b is split in two to stay defined at b = 0.
+inline void mask_rotate(const std::uint64_t* in, std::int32_t k,
+                        std::int32_t r, std::uint64_t* out) noexcept {
+  const auto nw = static_cast<std::ptrdiff_t>(mask_words(k));
+  const auto at = [in, nw](std::ptrdiff_t i) {
+    return i >= 0 && i < nw ? in[i] : std::uint64_t{0};
+  };
+  const std::ptrdiff_t dq = r >> 6, uq = (k - r) >> 6;
+  const auto db = static_cast<std::uint32_t>(r) & 63;
+  const auto ub = static_cast<std::uint32_t>(k - r) & 63;
+  for (std::ptrdiff_t i = 0; i < nw; ++i) {
+    out[i] = (at(i + dq) >> db) | ((at(i + dq + 1) << 1) << (63 - db)) |
+             (at(i - uq) << ub) | ((at(i - uq - 1) >> 1) >> (63 - ub));
+  }
+  const std::uint32_t tail = static_cast<std::uint32_t>(k) & 63;
+  if (tail != 0) out[nw - 1] &= ~std::uint64_t{0} >> (64 - tail);
 }
 
 /// Number of set bits in the k-bit mask (tail bits are zero by invariant).

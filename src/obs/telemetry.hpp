@@ -56,7 +56,7 @@ enum class Stage : std::uint8_t {
   kRetry,      ///< retry-queue drain + re-offer scheduling
   kIngress,    ///< admission bucket refill + ingress-queue release batch
   kAdmission,  ///< token-bucket offer() pass over fresh arrivals
-  kPartition,  ///< per-slot CSR request partition (counting sort)
+  kPartition,  ///< per-slot request grouping (validate, count, place)
   kFanout,     ///< per-fiber schedule dispatch
   kMetrics,    ///< per-slot stats recording in the driver loop
   kCount,      ///< number of stages (array bound, not a stage)

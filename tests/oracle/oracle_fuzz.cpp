@@ -176,8 +176,9 @@ bool check_instance(Stats& stats, const ConversionScheme& scheme,
     // same schedule as the value-returning one.
     {
       core::ChannelAssignment approx_masked(scheme.k());
+      core::BfaScratch scratch;
       const core::Channel bc = core::approx_break_first_available_masked_into(
-          rv, scheme, avail_words, nonempty_words, approx_masked);
+          rv, scheme, avail_words, nonempty_words, scratch, approx_masked);
       if (bc != approx.break_channel ||
           (bc != core::kNone &&
            approx_masked.source != approx.assignment.source)) {

@@ -343,7 +343,7 @@ TEST(DigestGolden, MaskedKernelsMatchScalarOnRandomInstances) {
       const auto approx = core::approx_break_first_available(rv, scheme, avail);
       core::ChannelAssignment approx_masked(k);
       const auto bc_masked = core::approx_break_first_available_masked_into(
-          rv, scheme, avail_words, nonempty, approx_masked);
+          rv, scheme, avail_words, nonempty, scratch, approx_masked);
       ASSERT_EQ(approx.break_channel, bc_masked);
       ASSERT_EQ(approx.assignment.source, approx_masked.source);
     } else {

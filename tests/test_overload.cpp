@@ -223,7 +223,7 @@ TEST(Degradation, OpBudgetDowngradesPortsAndStaysValid) {
 }
 
 TEST(Degradation, OpBudgetPlanIsPoolIndependent) {
-  // The degrade plan is computed in charge order from the partition alone,
+  // The degrade plan is computed in charge order from the grouping alone,
   // before any scheduling work: it equals the cost-model walk below, and the
   // same slot through a twin scheduler degrades the same ports and makes
   // the same decisions.

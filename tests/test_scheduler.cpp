@@ -186,7 +186,7 @@ ConversionScheme golden_scheme(Algorithm algorithm, std::int32_t k) {
 }
 
 std::uint64_t golden_hash(Arbitration arbitration, Algorithm algorithm,
-                          std::int32_t k, bool batch) {
+                          std::int32_t k, bool healthless) {
   OutputPortScheduler sched(
       golden_scheme(algorithm, k), algorithm, arbitration,
       std::uint64_t{0x5eed} + static_cast<std::uint64_t>(k));
@@ -197,7 +197,6 @@ std::uint64_t golden_hash(Arbitration arbitration, Algorithm algorithm,
   };
   test::Fnv1a h;
   std::vector<Request> requests;
-  std::vector<std::int32_t> wavelengths, input_fibers, durations;
   std::vector<std::uint8_t> avail;
   std::vector<std::uint64_t> bits(core::mask_words(k), 0);
   std::vector<PortDecision> decisions;
@@ -233,17 +232,9 @@ std::uint64_t golden_hash(Arbitration arbitration, Algorithm algorithm,
     const bool degraded = rng.bernoulli(0.2);
     decisions.assign(n, PortDecision{});
 
-    if (batch) {
-      wavelengths.clear();
-      input_fibers.clear();
-      durations.clear();
-      for (const auto& r : requests) {
-        wavelengths.push_back(r.wavelength);
-        input_fibers.push_back(r.input_fiber);
-        durations.push_back(r.duration);
-      }
-      sched.schedule_batch_into(wavelengths, input_fibers, durations, avail,
-                                avail_bits, nullptr, decisions, degraded);
+    if (healthless) {
+      sched.schedule_into(requests, avail, nullptr, decisions, degraded,
+                          avail_bits);
     } else {
       core::HealthMask health;
       const bool with_health = rng.bernoulli(0.5);
@@ -279,18 +270,20 @@ std::uint64_t golden_hash(Arbitration arbitration, Algorithm algorithm,
 class ArbitrationGolden : public ::testing::Test {
  protected:
   /// `expected` is indexed [algorithm][k][path], path 0 = schedule_into,
-  /// 1 = schedule_batch_into, in kGoldenAlgorithms / kGoldenKs order.
+  /// 1 = schedule_into without health masks (the instance stream of the
+  /// removed column-batch entry point, same hashes), in kGoldenAlgorithms /
+  /// kGoldenKs order.
   static void expect_golden(Arbitration arbitration,
                             const std::array<std::uint64_t, 18>& expected) {
     std::size_t idx = 0;
     for (const Algorithm algorithm : kGoldenAlgorithms) {
       for (const std::int32_t k : kGoldenKs) {
-        for (const bool batch : {false, true}) {
+        for (const bool healthless : {false, true}) {
           const std::uint64_t got =
-              golden_hash(arbitration, algorithm, k, batch);
+              golden_hash(arbitration, algorithm, k, healthless);
           EXPECT_EQ(got, expected[idx])
               << "algorithm " << static_cast<int>(algorithm) << " k=" << k
-              << (batch ? " schedule_batch_into" : " schedule_into")
+              << (healthless ? " without health" : " with health")
               << " hash 0x" << std::hex << got;
           ++idx;
         }
@@ -301,15 +294,15 @@ class ArbitrationGolden : public ::testing::Test {
 
 TEST_F(ArbitrationGolden, Fifo) {
   expect_golden(Arbitration::kFifo, {{
-      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      // First Available, k = 5 / 16 / 70 x {health, healthless}
       0x95e523fef7bfe66bULL, 0x11c27373fca47e50ULL,
       0x2dfbb2376d7091c3ULL, 0x519063453c0da3a2ULL,
       0x40ba5889ce8d3871ULL, 0x97f9e5c25b2a8e86ULL,
-      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // exact BFA, k = 5 / 16 / 70 x {health, healthless}
       0xeee096b3b8b104efULL, 0x90a4ce8f5baeac28ULL,
       0x89a32cbc735c4e1aULL, 0x243d3d6408b45e85ULL,
       0x4b217d6c4704adafULL, 0xf939098daded227ULL,
-      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // approximate BFA, k = 5 / 16 / 70 x {health, healthless}
       0xe4288fe102a2377ULL, 0x94aa00856492f4aULL,
       0xbec630da7b5c9aaeULL, 0xbc6e4fb516f50918ULL,
       0x49b9e75c485beb42ULL, 0x2135fcd192adac4bULL
@@ -318,15 +311,15 @@ TEST_F(ArbitrationGolden, Fifo) {
 
 TEST_F(ArbitrationGolden, RoundRobin) {
   expect_golden(Arbitration::kRoundRobin, {{
-      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      // First Available, k = 5 / 16 / 70 x {health, healthless}
       0xb4f6fe4cea21189fULL, 0x7f86b453e0dd19a4ULL,
       0x1e207e345ace7f47ULL, 0x8874d631a1b8f846ULL,
       0xc242bdc44a246a05ULL, 0xbd54c223d0c617aULL,
-      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // exact BFA, k = 5 / 16 / 70 x {health, healthless}
       0x815c6212ec16d617ULL, 0x5b1c9c679788f82cULL,
       0xe2acbf7fe3fec1b6ULL, 0x57bee63bb7034989ULL,
       0x2eb25b7131a285bbULL, 0x3eeeb0b2de9cd63fULL,
-      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // approximate BFA, k = 5 / 16 / 70 x {health, healthless}
       0x316768981214cce7ULL, 0x4ca945d4249fa872ULL,
       0xaf6f74c8b6646142ULL, 0xc9b43e468cc734b4ULL,
       0xaf68893d9d3fc46aULL, 0xb51f5d02964490bfULL
@@ -335,15 +328,15 @@ TEST_F(ArbitrationGolden, RoundRobin) {
 
 TEST_F(ArbitrationGolden, Random) {
   expect_golden(Arbitration::kRandom, {{
-      // First Available, k = 5 / 16 / 70 x {schedule_into, batch}
+      // First Available, k = 5 / 16 / 70 x {health, healthless}
       0xd8f5434cd53adddfULL, 0x18fdb09559c863a0ULL,
       0x7bb355a5b1171483ULL, 0x1a0360e52b05413eULL,
       0x61242dfba9679ae1ULL, 0xc5d37db1cefad30aULL,
-      // exact BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // exact BFA, k = 5 / 16 / 70 x {health, healthless}
       0xbb9dc1e8bb49838bULL, 0xe0ed93af79be02b4ULL,
       0x4cdcc71a3ba592eULL, 0x47c0391bdf82a595ULL,
       0xf06e3448a472d2afULL, 0x99d6e15f25efab7ULL,
-      // approximate BFA, k = 5 / 16 / 70 x {schedule_into, batch}
+      // approximate BFA, k = 5 / 16 / 70 x {health, healthless}
       0xbaf6f2ed06309ec3ULL, 0x4da6b4d575435586ULL,
       0xb0a89a1e841da2eaULL, 0xfabf3489ec220ac8ULL,
       0xadb6be2372c2da8eULL, 0x604cb8c3e851a19fULL

@@ -1,5 +1,5 @@
 // The zero-allocation slot pipeline must be a pure performance change: the
-// flat-CSR / reusable-scratch fast path (schedule_slot_into, schedule_into)
+// flat-view / reusable-scratch fast path (schedule_slot_into, schedule_into)
 // must produce decision-for-decision identical results to the original
 // nested-vector path, and warm scratch must behave exactly like a cold call.
 // A fixed-seed digest pins the whole simulation pipeline end to end.

@@ -9,6 +9,7 @@
 // main wdm_tests binary would tax every other test for no benefit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -175,6 +176,63 @@ TEST(ZeroAlloc, FaultedSchedulerPathIsAllocationFreeWhenWarm) {
     EXPECT_EQ(after - before, 0u)
         << name << ": the warm faulted scheduler path must not allocate";
     EXPECT_GT(granted, 0u) << name;
+  }
+}
+
+TEST(ZeroAlloc, GroupedPassIsAllocationFreeFromFirstSlotAfterReserve) {
+  // reserve_batches sizes the grouping arenas (counts plane, members) and
+  // every port's arbitration, kernel and fault-fold scratch, so no slot
+  // allocates, the first one included: healthy and faulted
+  // fibers, exact and budget-degraded BFA, First Available, round-robin and
+  // random arbitration, at N = 256.
+  if (!kOptimizedBuild) GTEST_SKIP() << "debug cross-checks allocate";
+  const std::int32_t n = 256;
+  const std::int32_t k = 16;
+  const auto slots = make_slots(n, k, 24, 0.8);
+  std::vector<core::HealthMask> faulted(static_cast<std::size_t>(n),
+                                        core::HealthMask::healthy(k));
+  util::Rng rng(17);
+  for (auto& h : faulted) {
+    for (auto& ch : h.channels) {
+      const double u = rng.uniform01();
+      ch = u < 0.1   ? core::ChannelHealth::kConverterFaulted
+           : u < 0.2 ? core::ChannelHealth::kChannelFaulted
+                     : core::ChannelHealth::kHealthy;
+    }
+    h.fiber_faulted = rng.bernoulli(0.02);
+  }
+  std::vector<std::uint8_t> plane(
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(k), 1);
+  for (std::size_t i = 0; i < plane.size(); i += 3) plane[i] = 0;
+  const core::AvailabilityView view(plane.data(), n, k);
+  const std::pair<const char*, core::ConversionScheme> schemes[] = {
+      {"exact BFA", core::ConversionScheme::circular(k, 1, 1)},
+      {"First Available", core::ConversionScheme::non_circular(k, 1, 1)}};
+  for (const auto& [name, scheme] : schemes) {
+    for (const auto arbitration :
+         {core::Arbitration::kRoundRobin, core::Arbitration::kRandom}) {
+      core::DistributedScheduler sched(n, scheme, core::Algorithm::kAuto,
+                                       arbitration, 5);
+      std::vector<core::PortDecision> decisions;
+      std::size_t widest = 0;
+      for (const auto& slot : slots) widest = std::max(widest, slot.size());
+      decisions.reserve(widest);
+      sched.reserve_batches(widest);
+      std::uint64_t granted = 0;
+      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        decisions.resize(slots[s].size());
+        core::SlotBudget budget;
+        budget.op_budget = s % 3 == 0 ? 40 * static_cast<std::uint64_t>(k) : 0;
+        sched.schedule_slot_into(slots[s], view, s % 2 == 0 ? nullptr : &faulted,
+                                 &budget, decisions);
+        for (const auto& d : decisions) granted += d.granted ? 1 : 0;
+      }
+      const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u)
+          << name << ": the grouped pass allocated after reserve_batches";
+      EXPECT_GT(granted, 0u) << name;
+    }
   }
 }
 
